@@ -214,10 +214,6 @@ fn print_word64_campaign(campaign: &BitCampaign) {
         if stats.workers == 1 { "" } else { "s" },
         stats.eval_seconds(),
     );
-    println!(
-        "compiles: {} programs reused from the compile cache",
-        stats.compile_hits,
-    );
     print_pool_stats(stats);
 }
 
@@ -235,10 +231,6 @@ fn print_pool_stats(stats: &dstress::EvalStats) {
         if stats.steals == 1 { "" } else { "s" },
         stats.max_worker_idle_ns as f64 / 1e9,
         tasks.join(", "),
-    );
-    println!(
-        "replica caches: {} warm hits, {} cold misses",
-        stats.replica_warm_hits, stats.replica_cold_misses,
     );
 }
 

@@ -7,12 +7,10 @@ use dstress_dram::geometry::RowKey;
 use dstress_ga::{BitGenome, EvalFault, Fitness, IntGenome, ParallelFitness};
 use dstress_platform::{RunOutcome, XGene2Server};
 use dstress_vpl::{
-    compile_opt, BoundValue, CompiledProgram, ExecLimits, Interpreter, OptLevel, ProcessedTemplate,
-    Vm,
+    compile_opt, BoundValue, ExecLimits, Interpreter, OptLevel, ProcessedTemplate, Vm,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::collections::HashMap;
 
 const NONCE_PRIME: u64 = 0x0000_0100_0000_01B3;
 const NONCE_SEED: u64 = 0xcbf2_9ce4_8422_2325;
@@ -110,53 +108,6 @@ fn merged_nonce(
     hash
 }
 
-/// Retention bound of the compiled-program cache — same cap as the GA
-/// engine's evaluation cache, so the two stay in step: any chromosome the
-/// engine can re-request cheaply is also cheap to re-bind here.
-const COMPILE_CACHE_CAP: usize = 1024;
-
-/// A bounded least-recently-used cache of compiled virus programs, keyed
-/// by the chromosome's canonical (key-sorted) bindings. The environment
-/// bindings are fixed for an evaluator's lifetime, so the chromosome alone
-/// determines the instantiated program — identical chromosomes across a
-/// generation (or across generations, once the engine's own fitness cache
-/// evicts) bind, instantiate and compile once. Eviction order is a pure
-/// function of the lookup/insert sequence, keeping evaluation
-/// deterministic for any worker count.
-#[derive(Debug, Default)]
-struct CompileCache {
-    map: HashMap<Vec<(String, BoundValue)>, Arc<CompiledProgram>>,
-    /// Keys in least-recently-used-first order.
-    queue: VecDeque<Vec<(String, BoundValue)>>,
-}
-
-impl CompileCache {
-    /// Looks a chromosome up, promoting it to most-recently-used.
-    fn lookup(&mut self, key: &[(String, BoundValue)]) -> Option<Arc<CompiledProgram>> {
-        let hit = self.map.get(key)?.clone();
-        let pos = self
-            .queue
-            .iter()
-            .position(|k| k.as_slice() == key)
-            .expect("every cached program is in the recency queue");
-        let promoted = self.queue.remove(pos).expect("position is in range");
-        self.queue.push_back(promoted);
-        Some(hit)
-    }
-
-    /// Inserts a freshly compiled program, evicting the least recently
-    /// used entry once over capacity.
-    fn insert(&mut self, key: Vec<(String, BoundValue)>, program: Arc<CompiledProgram>) {
-        debug_assert!(!self.map.contains_key(&key), "insert after a miss only");
-        self.queue.push_back(key.clone());
-        self.map.insert(key, program);
-        if self.map.len() > COMPILE_CACHE_CAP {
-            let evicted = self.queue.pop_front().expect("cache is over capacity");
-            self.map.remove(&evicted);
-        }
-    }
-}
-
 /// The quantity a search maximizes (§III-C: CEs or UEs).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Metric {
@@ -192,12 +143,13 @@ pub struct EvalOutcome {
 /// Owns the server for the duration of the campaign; each evaluation resets
 /// memory and counters, instantiates the template with the chromosome's
 /// bindings plus the campaign's environment bindings, compiles the program
-/// once through the optimizing VPL backend (at a configurable
-/// [`OptLevel`], through a bounded chromosome-keyed compile cache) and
+/// through the optimizing VPL backend (at the default [`OptLevel`]) and
 /// executes it through the [`Vm`] (monomorphized over the recording
-/// session), then replays the recorded trace for `runs`
-/// independent evaluation runs (the paper's 10-run averaging). The
-/// tree-walking interpreter path survives as
+/// session), then replays the recorded trace for `runs` independent
+/// evaluation runs (the paper's 10-run averaging). The evaluator keeps no
+/// cache of compiled programs: in a campaign, the GA engine's evaluation
+/// cache serves repeat chromosomes before they reach it. The tree-walking
+/// interpreter path survives as
 /// [`VirusEvaluator::evaluate_bindings_reference`], the oracle the
 /// differential suite holds the production path against.
 #[derive(Debug)]
@@ -212,20 +164,11 @@ pub struct VirusEvaluator {
     runs: u32,
     target_mcu: usize,
     limits: ExecLimits,
-    /// Optimization level the VPL backend compiles candidate programs at.
-    opt: OptLevel,
-    /// Compiled programs keyed by canonical chromosome bindings.
-    cache: CompileCache,
     /// Outcome of the most recent evaluation (for database recording).
     pub last: Option<EvalOutcome>,
     /// Evaluations that failed (template runtime errors); such candidates
     /// score 0.
     pub failed_evaluations: u64,
-    /// Evaluations whose program came out of the compile cache instead of
-    /// being re-bound, re-instantiated and re-compiled.
-    pub compile_hits: u64,
-    /// Programs actually instantiated and compiled (cache misses).
-    pub compiles: u64,
 }
 
 impl VirusEvaluator {
@@ -250,12 +193,8 @@ impl VirusEvaluator {
             runs,
             target_mcu,
             limits: ExecLimits::default(),
-            opt: OptLevel::default(),
-            cache: CompileCache::default(),
             last: None,
             failed_evaluations: 0,
-            compile_hits: 0,
-            compiles: 0,
         }
     }
 
@@ -264,8 +203,7 @@ impl VirusEvaluator {
     /// ECC counters), template and environment. Evaluation outcomes depend
     /// only on the chromosome (the VRT nonce is chromosome-derived), so a
     /// replica scores every candidate exactly as the original would.
-    /// Bookkeeping (`last`, `failed_evaluations`, the compile cache and its
-    /// counters) starts fresh.
+    /// Bookkeeping (`last`, `failed_evaluations`) starts fresh.
     pub fn replicate(&self) -> VirusEvaluator {
         VirusEvaluator {
             server: self.server.clone(),
@@ -276,12 +214,8 @@ impl VirusEvaluator {
             runs: self.runs,
             target_mcu: self.target_mcu,
             limits: self.limits,
-            opt: self.opt,
-            cache: CompileCache::default(),
             last: None,
             failed_evaluations: 0,
-            compile_hits: 0,
-            compiles: 0,
         }
     }
 
@@ -318,45 +252,6 @@ impl VirusEvaluator {
         self.limits.max_steps
     }
 
-    /// Sets the optimization level candidate programs compile at. The
-    /// compile cache is keyed by bindings only, so changing the level
-    /// drops it; the outcome of every evaluation is the same at any level
-    /// (the pass pipeline preserves the observable contract bit for bit).
-    pub fn set_opt_level(&mut self, opt: OptLevel) {
-        if self.opt != opt {
-            self.cache = CompileCache::default();
-        }
-        self.opt = opt;
-    }
-
-    /// The optimization level candidate programs compile at.
-    pub fn opt_level(&self) -> OptLevel {
-        self.opt
-    }
-
-    /// Binds, instantiates and compiles a chromosome through the bounded
-    /// compile cache: a repeat of a cached chromosome skips all three
-    /// steps. Failures are not cached (they are deterministic and the
-    /// search treats failing candidates as already worthless).
-    fn compiled(
-        &mut self,
-        chromosome: HashMap<String, BoundValue>,
-    ) -> Result<Arc<CompiledProgram>, DStressError> {
-        let mut key: Vec<(String, BoundValue)> = chromosome.into_iter().collect();
-        key.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        if let Some(hit) = self.cache.lookup(&key) {
-            self.compile_hits += 1;
-            return Ok(hit);
-        }
-        let mut bindings = self.env.clone();
-        bindings.extend(key.iter().cloned());
-        let program = self.template.instantiate(&bindings)?;
-        let compiled = Arc::new(compile_opt(&program, &self.opt.config())?);
-        self.compiles += 1;
-        self.cache.insert(key, Arc::clone(&compiled));
-        Ok(compiled)
-    }
-
     /// Evaluates a fully-bound candidate virus.
     ///
     /// # Errors
@@ -367,7 +262,10 @@ impl VirusEvaluator {
         chromosome: HashMap<String, BoundValue>,
     ) -> Result<EvalOutcome, DStressError> {
         let base_nonce = merged_nonce(&self.sorted_env, &chromosome);
-        let compiled = self.compiled(chromosome)?;
+        let mut bindings = self.env.clone();
+        bindings.extend(chromosome);
+        let program = self.template.instantiate(&bindings)?;
+        let compiled = compile_opt(&program, &OptLevel::default().config())?;
         self.server.reset_memory();
         let mut session = self.server.session(self.target_mcu);
         Vm::new(self.limits).run(&compiled, &mut session)?;
@@ -446,43 +344,6 @@ impl VirusEvaluator {
         }
     }
 
-    /// Evaluates a whole generation of candidate viruses through the
-    /// batched evaluation path. Distinct binding-sets are collected first,
-    /// so a chromosome occurring several times in the population — common
-    /// once a search converges — is bound, compiled and run once, with the
-    /// outcome fanned back out to every slot it fills; beneath that, each
-    /// candidate's repeat runs go through the server's lane-batched window
-    /// kernel and shared plan/profile caches. Slot `i` of the result is
-    /// exactly `evaluate_bindings(chromosomes[i].clone())` — dedup is
-    /// sound because evaluation is a pure function of the bindings.
-    ///
-    /// Failed candidates count once per *distinct* chromosome in
-    /// `failed_evaluations`, matching one substrate evaluation each.
-    pub fn evaluate_generation(
-        &mut self,
-        chromosomes: &[HashMap<String, BoundValue>],
-    ) -> Vec<Result<EvalOutcome, DStressError>> {
-        let mut results: Vec<Option<Result<EvalOutcome, DStressError>>> =
-            vec![None; chromosomes.len()];
-        let mut distinct: Vec<usize> = Vec::new();
-        for i in 0..chromosomes.len() {
-            if let Some(&first) = distinct.iter().find(|&&j| chromosomes[j] == chromosomes[i]) {
-                results[i] = results[first].clone();
-            } else {
-                distinct.push(i);
-                let result = self.evaluate_bindings(chromosomes[i].clone());
-                if result.is_err() {
-                    self.failed_evaluations += 1;
-                }
-                results[i] = Some(result);
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every slot is filled above"))
-            .collect()
-    }
-
     /// Fallible scoring for the supervised evaluation path: instead of
     /// smuggling failures into a 0.0 score (as [`Self::fitness_of`] does for
     /// the legacy path), failures surface as classified [`EvalFault`]s the
@@ -513,68 +374,6 @@ impl VirusEvaluator {
     }
 }
 
-/// Scores a generation through [`VirusEvaluator::evaluate_generation`],
-/// mapping failed candidates to 0.0 exactly as
-/// [`VirusEvaluator::fitness_of`] does on the per-candidate path.
-fn generation_scores(
-    evaluator: &mut VirusEvaluator,
-    chromosomes: Vec<HashMap<String, BoundValue>>,
-) -> Vec<f64> {
-    evaluator
-        .evaluate_generation(&chromosomes)
-        .into_iter()
-        .map(|result| result.map(|o| o.fitness).unwrap_or(0.0))
-        .collect()
-}
-
-/// [`Fitness`] adapter for bit-genome searches.
-#[derive(Debug)]
-pub struct BitFitness<'a> {
-    /// The campaign evaluator.
-    pub evaluator: &'a mut VirusEvaluator,
-    /// The chromosome codec.
-    pub codec: BitCodec,
-}
-
-impl Fitness<BitGenome> for BitFitness<'_> {
-    fn evaluate(&mut self, genome: &BitGenome) -> f64 {
-        self.evaluator.fitness_of(self.codec.bindings(genome))
-    }
-
-    fn try_evaluate(&mut self, genome: &BitGenome) -> Result<f64, EvalFault> {
-        self.evaluator.try_fitness_of(self.codec.bindings(genome))
-    }
-
-    fn evaluate_generation(&mut self, population: &[BitGenome]) -> Vec<f64> {
-        let chromosomes = population.iter().map(|g| self.codec.bindings(g)).collect();
-        generation_scores(self.evaluator, chromosomes)
-    }
-}
-
-/// [`Fitness`] adapter for integer-genome searches.
-#[derive(Debug)]
-pub struct IntFitness<'a> {
-    /// The campaign evaluator.
-    pub evaluator: &'a mut VirusEvaluator,
-    /// The chromosome codec.
-    pub codec: IntCodec,
-}
-
-impl Fitness<IntGenome> for IntFitness<'_> {
-    fn evaluate(&mut self, genome: &IntGenome) -> f64 {
-        self.evaluator.fitness_of(self.codec.bindings(genome))
-    }
-
-    fn try_evaluate(&mut self, genome: &IntGenome) -> Result<f64, EvalFault> {
-        self.evaluator.try_fitness_of(self.codec.bindings(genome))
-    }
-
-    fn evaluate_generation(&mut self, population: &[IntGenome]) -> Vec<f64> {
-        let chromosomes = population.iter().map(|g| self.codec.bindings(g)).collect();
-        generation_scores(self.evaluator, chromosomes)
-    }
-}
-
 /// Owning [`ParallelFitness`] adapter for bit-genome campaigns: each
 /// evaluation worker gets a replica that owns its own evaluator, server
 /// included, so workers never contend for the substrate.
@@ -594,11 +393,6 @@ impl Fitness<BitGenome> for ParallelBitFitness {
     fn try_evaluate(&mut self, genome: &BitGenome) -> Result<f64, EvalFault> {
         self.evaluator.try_fitness_of(self.codec.bindings(genome))
     }
-
-    fn evaluate_generation(&mut self, population: &[BitGenome]) -> Vec<f64> {
-        let chromosomes = population.iter().map(|g| self.codec.bindings(g)).collect();
-        generation_scores(&mut self.evaluator, chromosomes)
-    }
 }
 
 impl ParallelFitness<BitGenome> for ParallelBitFitness {
@@ -611,12 +405,6 @@ impl ParallelFitness<BitGenome> for ParallelBitFitness {
 
     fn absorb(&mut self, replica: Self) {
         self.evaluator.failed_evaluations += replica.evaluator.failed_evaluations;
-        self.evaluator.compile_hits += replica.evaluator.compile_hits;
-        self.evaluator.compiles += replica.evaluator.compiles;
-    }
-
-    fn cache_counters(&self) -> (u64, u64) {
-        (self.evaluator.compile_hits, self.evaluator.compiles)
     }
 }
 
@@ -637,11 +425,6 @@ impl Fitness<IntGenome> for ParallelIntFitness {
     fn try_evaluate(&mut self, genome: &IntGenome) -> Result<f64, EvalFault> {
         self.evaluator.try_fitness_of(self.codec.bindings(genome))
     }
-
-    fn evaluate_generation(&mut self, population: &[IntGenome]) -> Vec<f64> {
-        let chromosomes = population.iter().map(|g| self.codec.bindings(g)).collect();
-        generation_scores(&mut self.evaluator, chromosomes)
-    }
 }
 
 impl ParallelFitness<IntGenome> for ParallelIntFitness {
@@ -654,12 +437,6 @@ impl ParallelFitness<IntGenome> for ParallelIntFitness {
 
     fn absorb(&mut self, replica: Self) {
         self.evaluator.failed_evaluations += replica.evaluator.failed_evaluations;
-        self.evaluator.compile_hits += replica.evaluator.compile_hits;
-        self.evaluator.compiles += replica.evaluator.compiles;
-    }
-
-    fn cache_counters(&self) -> (u64, u64) {
-        (self.evaluator.compile_hits, self.evaluator.compiles)
     }
 }
 
@@ -718,33 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn generation_evaluation_matches_per_candidate_path() {
-        // Population with repeats: the generation entry dedups them, and
-        // every slot must still score exactly as an isolated evaluation.
-        let patterns: Vec<u64> = vec![
-            0x3333_3333_3333_3333,
-            0xCCCC_CCCC_CCCC_CCCC,
-            0x3333_3333_3333_3333, // repeat of slot 0
-            0x0000_0000_0000_0000,
-            0xCCCC_CCCC_CCCC_CCCC, // repeat of slot 1
-        ];
-        let chromosomes: Vec<HashMap<String, BoundValue>> = patterns
-            .iter()
-            .map(|&p| [("PATTERN".to_string(), BoundValue::Scalar(p))].into())
-            .collect();
-        let mut generation_eval = evaluator(Metric::CeAverage);
-        let batched = generation_eval.evaluate_generation(&chromosomes);
-        let mut single_eval = evaluator(Metric::CeAverage);
-        for (chromosome, got) in chromosomes.iter().zip(&batched) {
-            let expected = single_eval.evaluate_bindings(chromosome.clone()).unwrap();
-            assert_eq!(got.as_ref().unwrap(), &expected);
-        }
-        assert_eq!(batched[0], batched[2]);
-        assert_eq!(batched[1], batched[4]);
-        assert_eq!(generation_eval.failed_evaluations, 0);
-    }
-
-    #[test]
     fn plan_errors_classify_as_permanent_faults() {
         // Satellite check: a PlanError surfacing through DStressError must
         // become a permanent (non-retryable) fault, never a retried panic.
@@ -784,17 +534,16 @@ mod tests {
             )
             .unwrap()
             .fitness;
-        let mut fit = BitFitness {
-            evaluator: &mut eval,
+        let mut fit = ParallelBitFitness {
+            evaluator: eval,
             codec: BitCodec::Word64 {
                 param: "PATTERN".into(),
             },
         };
-        let adapted = fit.evaluate(&g);
-        // VRT noise differs between evaluations; both must land in the same
-        // regime.
-        assert!(adapted > 0.0);
-        assert!((adapted - direct).abs() < 0.5 * direct.max(adapted));
+        // The VRT nonce is chromosome-derived, so the adapter reproduces
+        // the direct evaluation bit for bit.
+        assert!(direct > 0.0);
+        assert_eq!(fit.evaluate(&g).to_bits(), direct.to_bits());
     }
 
     #[test]
@@ -862,37 +611,6 @@ mod tests {
                 "nonce diverged for chromosome {chromosome:?}"
             );
         }
-    }
-
-    #[test]
-    fn compile_cache_hits_repeats_and_opt_levels_agree() {
-        let mut eval = evaluator(Metric::CeAverage);
-        let chromosome: HashMap<String, BoundValue> = [(
-            "PATTERN".to_string(),
-            BoundValue::Scalar(0x3333_3333_3333_3333),
-        )]
-        .into();
-        let a = eval.evaluate_bindings(chromosome.clone()).unwrap();
-        assert_eq!((eval.compiles, eval.compile_hits), (1, 0));
-        let b = eval.evaluate_bindings(chromosome.clone()).unwrap();
-        assert_eq!(a, b, "cached program must score identically");
-        assert_eq!((eval.compiles, eval.compile_hits), (1, 1));
-        // A different chromosome misses.
-        eval.evaluate_bindings([("PATTERN".to_string(), BoundValue::Scalar(1))].into())
-            .unwrap();
-        assert_eq!((eval.compiles, eval.compile_hits), (2, 1));
-        // A replica starts with a cold cache and fresh counters.
-        let mut replica = eval.replicate();
-        assert_eq!((replica.compiles, replica.compile_hits), (0, 0));
-        assert_eq!(replica.evaluate_bindings(chromosome.clone()).unwrap(), a);
-        assert_eq!((replica.compiles, replica.compile_hits), (1, 0));
-        // The unoptimized backend produces the same outcome bit for bit,
-        // and switching levels drops the (now mis-keyed) cache.
-        eval.set_opt_level(OptLevel::None);
-        assert_eq!(eval.opt_level(), OptLevel::None);
-        let plain = eval.evaluate_bindings(chromosome).unwrap();
-        assert_eq!(a, plain, "opt levels must agree on the outcome");
-        assert_eq!((eval.compiles, eval.compile_hits), (3, 1));
     }
 
     #[test]

@@ -549,12 +549,11 @@ impl DStress {
             evaluator,
             codec: codec.clone(),
         };
-        let mut result = engine.run_parallel(
+        let result = engine.run_parallel(
             self.workers,
             |rng| seeding.initial_genome(rng, bits),
             &mut fitness,
         );
-        result.eval_stats.compile_hits = fitness.evaluator.compile_hits;
         let failed = fitness.evaluator.failed_evaluations;
         self.record_bit_leaderboard(name, &result);
         Ok(BitCampaign {
@@ -589,12 +588,11 @@ impl DStress {
         engine.set_supervision(self.supervision);
         engine.set_hazards(self.hazards.clone());
         let mut fitness = ParallelIntFitness { evaluator, codec };
-        let mut result = engine.run_parallel(
+        let result = engine.run_parallel(
             self.workers,
             |rng| IntGenome::random(rng, genes, lo, hi),
             &mut fitness,
         );
-        result.eval_stats.compile_hits = fitness.evaluator.compile_hits;
         for (genome, fit) in &result.leaderboard {
             self.db.record(VirusRecord {
                 campaign: name.to_string(),
@@ -709,14 +707,12 @@ impl DStress {
             fitness.absorb(replica);
         }
         // The pool's replicas did all the evaluating, so the absorbed
-        // master counters are the exact campaign-wide compile statistics;
-        // every campaign of the batch shares the one substrate.
-        let compile_hits = fitness.evaluator.compile_hits;
+        // master count is the exact batch-wide failure total; every
+        // campaign of the batch shares the one substrate.
         let failed = fitness.evaluator.failed_evaluations;
         let mut finished = Vec::with_capacity(campaigns);
         for (session, name) in sessions.into_iter().zip(names) {
-            let mut result = session.finish();
-            result.eval_stats.compile_hits = compile_hits;
+            let result = session.finish();
             self.record_bit_leaderboard(&name, &result);
             finished.push(BitCampaign {
                 name,
@@ -807,15 +803,11 @@ impl DStress {
             self.hazards.clone(),
         )?;
         let failed = fitness.evaluator.failed_evaluations;
-        let compile_hits = fitness.evaluator.compile_hits;
-        Ok(result.map(|mut result| {
-            result.eval_stats.compile_hits = compile_hits;
-            BitCampaign {
-                name,
-                result,
-                env,
-                failed_evaluations: failed,
-            }
+        Ok(result.map(|result| BitCampaign {
+            name,
+            result,
+            env,
+            failed_evaluations: failed,
         }))
     }
 

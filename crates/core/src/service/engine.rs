@@ -1298,17 +1298,15 @@ pub fn run_word64_campaigns_journaled(
     for replica in replicas {
         fitness.absorb(replica);
     }
-    let compile_hits = fitness.evaluator.compile_hits;
     let failed = fitness.evaluator.failed_evaluations;
     let mut campaigns = Vec::with_capacity(slots.len());
     for slot in slots {
-        let mut result = slot.result.ok_or_else(|| {
+        let result = slot.result.ok_or_else(|| {
             DStressError::from(ServiceError::StateMismatch(format!(
                 "the scheduler never drained campaign `{}`",
                 slot.name
             )))
         })?;
-        result.eval_stats.compile_hits = compile_hits;
         campaigns.push(BitCampaign {
             name: slot.name,
             result,

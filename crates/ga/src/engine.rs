@@ -17,14 +17,14 @@ use crate::genome::Genome;
 use crate::ops::selection::SelectionScheme;
 use crate::pool::{EvalPool, PoolTask, RoundSubmission};
 use crate::supervise::{
-    finite_mean, nan_last_cmp, nan_last_max, supervise_one, EvalVerdict, HazardPlan, Incident,
-    IncidentKind, PendingIncident, SupervisionPolicy,
+    finite_mean, nan_last_cmp, nan_last_max, EvalVerdict, HazardPlan, Incident, IncidentKind,
+    PendingIncident, SupervisionPolicy,
 };
 use dstress_stats::mean_pairwise;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize, Value};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::time::Instant;
 
@@ -148,41 +148,23 @@ pub struct EvalStats {
     /// written before the cache was bounded, defaulting to zero.
     #[serde(default)]
     pub cache_size: usize,
-    /// Substrate evaluations whose virus program was served from the
-    /// evaluator's bounded compile cache instead of being re-instantiated
-    /// and re-compiled. The engine itself never compiles anything — the
-    /// campaign driver stitches this in from its evaluator after the
-    /// search — so checkpoints written mid-search carry zero. Absent in
-    /// checkpoints from before the compile cache existed.
-    #[serde(default)]
-    pub compile_hits: u64,
     /// Tasks executed by a worker other than the one they were dealt to —
-    /// work-stealing rebalance events on the persistent-pool path. The
-    /// per-generation scoped path always reports zero. A runtime
-    /// observable (like the timing vector), not part of the determinism
-    /// contract. Absent in checkpoints from before the pool existed.
+    /// work-stealing rebalance events on the evaluation pool. The serial
+    /// path always reports zero. A runtime observable (like the timing
+    /// vector), not part of the determinism contract. Absent in
+    /// checkpoints from before the pool existed.
     #[serde(default)]
     pub steals: u64,
     /// The longest any pool worker sat idle inside a single scored round,
     /// in nanoseconds (round wall-clock minus that worker's busy time) —
     /// the straggler-tail measure work stealing exists to shrink. Zero on
-    /// the scoped path. Absent in pre-pool checkpoints.
+    /// the serial path. Absent in pre-pool checkpoints.
     #[serde(default)]
     pub max_worker_idle_ns: u64,
     /// Substrate tasks each pool worker executed, indexed by worker slot.
-    /// Empty on the scoped path. Absent in pre-pool checkpoints.
+    /// Empty on the serial path. Absent in pre-pool checkpoints.
     #[serde(default)]
     pub worker_tasks: Vec<u64>,
-    /// Evaluations served by a warm replica-internal cache (the compile
-    /// cache a persistent worker keeps across generations). Zero on the
-    /// scoped path. Absent in pre-pool checkpoints.
-    #[serde(default)]
-    pub replica_warm_hits: u64,
-    /// Evaluations that went through a replica-internal cache cold (a
-    /// fresh compile). Zero on the scoped path. Absent in pre-pool
-    /// checkpoints.
-    #[serde(default)]
-    pub replica_cold_misses: u64,
     /// Wall-clock seconds spent evaluating each scored round; index 0 is
     /// the initial population, subsequent entries are generations.
     pub generation_eval_seconds: Vec<f64>,
@@ -204,8 +186,6 @@ impl EvalStats {
         for (total, &n) in self.worker_tasks.iter_mut().zip(&round.worker_tasks) {
             *total += n;
         }
-        self.replica_warm_hits += round.warm_hits;
-        self.replica_cold_misses += round.cold_misses;
     }
 
     /// Merges another campaign's stats into this one — the scheduler's
@@ -222,7 +202,6 @@ impl EvalStats {
         self.cache_hits += other.cache_hits;
         self.workers = self.workers.max(other.workers);
         self.cache_size += other.cache_size;
-        self.compile_hits += other.compile_hits;
         self.steals += other.steals;
         self.max_worker_idle_ns = self.max_worker_idle_ns.max(other.max_worker_idle_ns);
         if self.worker_tasks.len() < other.worker_tasks.len() {
@@ -231,8 +210,6 @@ impl EvalStats {
         for (total, &n) in self.worker_tasks.iter_mut().zip(&other.worker_tasks) {
             *total += n;
         }
-        self.replica_warm_hits += other.replica_warm_hits;
-        self.replica_cold_misses += other.replica_cold_misses;
         if self.generation_eval_seconds.len() < other.generation_eval_seconds.len() {
             self.generation_eval_seconds
                 .resize(other.generation_eval_seconds.len(), 0.0);
@@ -256,8 +233,6 @@ pub(crate) struct PoolRoundStats {
     pub(crate) steals: u64,
     pub(crate) max_worker_idle_ns: u64,
     pub(crate) worker_tasks: Vec<u64>,
-    pub(crate) warm_hits: u64,
-    pub(crate) cold_misses: u64,
 }
 
 /// The outcome of a GA search.
@@ -664,14 +639,6 @@ fn breed_next<G: Genome>(
     next
 }
 
-/// What one worker brought back from its share of a dealing round: the
-/// candidates it finished (with their supervision incidents) and, if it
-/// died, the evaluation index the kill fired at.
-struct WorkerReport {
-    completed: Vec<(usize, EvalVerdict, Vec<PendingIncident>)>,
-    died_at: Option<u64>,
-}
-
 /// Retention bound of the evaluation cache: the most recently used
 /// chromosomes kept, everything older evicted. Generous next to a
 /// population (the paper's is 40) — elites and within-search repeats stay
@@ -770,8 +737,8 @@ impl<G: Genome + Eq + Hash> EvalCache<G> {
 /// The cache pre-pass of one scoring round: repeats resolved, distinct new
 /// chromosomes collected in dealing order with the population slots each
 /// fills, and the round's base evaluation index pinned. Shared verbatim by
-/// the scoped executor, the persistent pool and the campaign scheduler, so
-/// the canonical numbering can never drift between paths.
+/// the single-session pool path and the campaign scheduler, so the
+/// canonical numbering can never drift between them.
 #[derive(Debug)]
 pub(crate) struct RoundPlan<G> {
     /// Scores with cache hits pre-filled; pending slots still zero.
@@ -800,22 +767,21 @@ impl<G: Genome> RoundPlan<G> {
     }
 }
 
-/// What an executor (scoped or pooled) brought back from one round: a
-/// verdict per pending candidate in dealing order, the round's supervision
-/// incidents already canonically sorted by [`PendingIncident::sort_key`],
-/// the worker count surviving the round, and — on the pool path — the
-/// round's observability counters.
+/// What the evaluation pool brought back from one round: a verdict per
+/// pending candidate in dealing order, the round's supervision incidents
+/// already canonically sorted by [`PendingIncident::sort_key`], the worker
+/// count surviving the round, and the round's observability counters.
 #[derive(Debug)]
 pub(crate) struct RoundExecution {
     pub(crate) verdicts: Vec<EvalVerdict>,
     pub(crate) incidents: Vec<PendingIncident>,
     pub(crate) alive_workers: usize,
-    pub(crate) pool: Option<PoolRoundStats>,
+    pub(crate) pool: PoolRoundStats,
 }
 
 /// One opened step of a [`SearchSession`]: the round plan plus the timing
 /// anchor, produced by [`SearchSession::begin_round`] and consumed by
-/// [`SearchSession::finish_round`] after an executor ran the plan.
+/// [`SearchSession::finish_round`] after the pool ran the plan.
 #[derive(Debug)]
 pub(crate) struct PreparedRound<G> {
     pub(crate) plan: RoundPlan<G>,
@@ -858,139 +824,6 @@ where
     }
 }
 
-/// Runs one planned round on per-generation scoped threads — the
-/// pre-pool executor, kept as the differential baseline the persistent
-/// pool is benched and tested against. Candidates are dealt by static
-/// round-robin over the live workers and evaluated under supervision
-/// (panic isolation, deterministic retry/quarantine — see
-/// [`crate::supervise`]).
-///
-/// A worker that dies mid-round (a [`Hazard::KillWorker`]) is removed from
-/// the pool (`dead`) and its unfinished share is redealt to the survivors;
-/// if the last worker dies it is revived, so the round always completes.
-/// Every verdict and incident is keyed by the search-global evaluation
-/// index, never by worker identity, so the result — scores, `newly` order,
-/// incident stream — is bit-identical for any worker count.
-///
-/// [`Hazard::KillWorker`]: crate::supervise::Hazard::KillWorker
-fn run_round_scoped<G, F>(
-    plan: &RoundPlan<G>,
-    replicas: &mut [F],
-    dead: &mut HashSet<usize>,
-    policy: &SupervisionPolicy,
-    hazards: Option<&HazardPlan>,
-) -> RoundExecution
-where
-    G: Genome + PartialEq + Eq + Hash + Sync,
-    F: ParallelFitness<G>,
-{
-    let pending = &plan.pending;
-    let base_index = plan.base_index;
-    // A stale dead-set (the pool was resized between steps) must not mask
-    // every worker; dead workers stay dead only while their index exists.
-    dead.retain(|&w| w < replicas.len());
-    if dead.len() >= replicas.len() {
-        dead.clear();
-    }
-    let mut verdicts: Vec<Option<EvalVerdict>> = vec![None; pending.len()];
-    let mut round_incidents: Vec<PendingIncident> = Vec::new();
-    // Dealing-order indices into `pending` still awaiting a verdict. Each
-    // pass deals them round-robin over the live workers; a worker loss
-    // leaves its unfinished share here for the next pass.
-    let mut remaining: Vec<usize> = (0..pending.len()).collect();
-    while !remaining.is_empty() {
-        let alive: Vec<usize> = (0..replicas.len()).filter(|w| !dead.contains(w)).collect();
-        let lanes = alive.len();
-        let mut alive_replicas: Vec<&mut F> = replicas
-            .iter_mut()
-            .enumerate()
-            .filter(|(w, _)| !dead.contains(w))
-            .map(|(_, replica)| replica)
-            .collect();
-        let reports: Vec<WorkerReport> = crossbeam::scope(|s| {
-            let handles: Vec<_> = alive_replicas
-                .iter_mut()
-                .enumerate()
-                .map(|(lane, replica)| {
-                    let share: Vec<(usize, &G)> = remaining
-                        .iter()
-                        .enumerate()
-                        .filter(|(pos, _)| pos % lanes == lane)
-                        .map(|(_, &j)| (j, &pending[j].0))
-                        .collect();
-                    s.spawn(move |_| {
-                        let mut completed = Vec::new();
-                        for (j, genome) in share {
-                            let eval_index = base_index + j as u64;
-                            if hazards.is_some_and(|h| h.take_kill(eval_index)) {
-                                // The worker dies before touching this
-                                // candidate; the rest of its share is
-                                // abandoned for the survivors.
-                                return WorkerReport {
-                                    completed,
-                                    died_at: Some(eval_index),
-                                };
-                            }
-                            let mut local = Vec::new();
-                            let verdict = supervise_one(
-                                &mut **replica,
-                                genome,
-                                eval_index,
-                                policy,
-                                hazards,
-                                &mut local,
-                            );
-                            completed.push((j, verdict, local));
-                        }
-                        WorkerReport {
-                            completed,
-                            died_at: None,
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("evaluation worker panicked"))
-                .collect()
-        })
-        .expect("evaluation scope panicked");
-        for (lane, report) in reports.into_iter().enumerate() {
-            if let Some(eval_index) = report.died_at {
-                dead.insert(alive[lane]);
-                round_incidents.push(PendingIncident {
-                    eval_index,
-                    attempt: 0,
-                    kind: IncidentKind::WorkerLoss,
-                });
-            }
-            for (j, verdict, local) in report.completed {
-                verdicts[j] = Some(verdict);
-                round_incidents.extend(local);
-            }
-        }
-        // Graceful degradation, never extinction: losing the last worker
-        // revives the pool (one fresh dealing lane) so the round finishes.
-        if dead.len() >= replicas.len() {
-            dead.clear();
-        }
-        remaining.retain(|&j| verdicts[j].is_none());
-    }
-    // Canonicalize the incident stream: order by evaluation index, then
-    // attempt, then phase — a pure function of the search, independent of
-    // which worker interleaving produced it.
-    round_incidents.sort_by_key(|incident| incident.sort_key());
-    RoundExecution {
-        verdicts: verdicts
-            .into_iter()
-            .map(|v| v.expect("every pending candidate has a verdict"))
-            .collect(),
-        incidents: round_incidents,
-        alive_workers: replicas.len() - dead.len(),
-        pool: None,
-    }
-}
-
 /// Drains an executed round back into the search in canonical dealing
 /// order: verdicts fill scores, newly evaluated chromosomes are pushed
 /// onto `newly` (raw user-orientation values) so a journal can persist
@@ -1022,9 +855,7 @@ where
         return (scores, Vec::new());
     };
     stats.workers = execution.alive_workers;
-    if let Some(pool_stats) = &execution.pool {
-        stats.note_pool_round(pool_stats);
-    }
+    stats.note_pool_round(&execution.pool);
     debug_assert_eq!(execution.verdicts.len(), pending.len());
     for (verdict, (genome, slots)) in execution.verdicts.into_iter().zip(&pending) {
         let value = match verdict {
@@ -1050,14 +881,14 @@ where
 /// so callers can persist the complete engine state between generations and
 /// continue an interrupted search **bit-identically** (§III-F).
 ///
-/// One [`step`] call scores the initial population; each further call runs
-/// exactly one generation. [`checkpoint`] captures everything the next step
-/// depends on — population, scores, leaderboard, history, RNG stream
-/// position, evaluation cache and counters — and [`resume`] reconstructs
+/// One [`step_pooled`] call scores the initial population; each further
+/// call runs exactly one generation. [`checkpoint`] captures everything the
+/// next step depends on — population, scores, leaderboard, history, RNG
+/// stream position, evaluation cache and counters — and [`resume`] reconstructs
 /// the session so the remaining steps draw the same random numbers and the
 /// same cached fitness values as an uninterrupted run.
 ///
-/// [`step`]: SearchSession::step
+/// [`step_pooled`]: SearchSession::step_pooled
 /// [`checkpoint`]: SearchSession::checkpoint
 /// [`resume`]: SearchSession::resume
 #[derive(Debug)]
@@ -1086,9 +917,6 @@ pub struct SearchSession<G> {
     policy: SupervisionPolicy,
     /// Injected faults (tests); `None` in production.
     hazards: Option<HazardPlan>,
-    /// Workers lost this process (runtime state, deliberately not
-    /// checkpointed: a resume starts with a fresh pool).
-    dead_workers: HashSet<usize>,
     /// Completed generations.
     generation: u32,
     /// Whether the initial population has been scored.
@@ -1102,13 +930,13 @@ pub struct SearchSession<G> {
 
 impl<G: Genome + PartialEq + Eq + Hash + Sync> SearchSession<G> {
     /// Starts a fresh session: seeds the RNG and draws the initial
-    /// population (nothing is evaluated until the first [`step`]).
+    /// population (nothing is evaluated until the first [`step_pooled`]).
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid.
     ///
-    /// [`step`]: SearchSession::step
+    /// [`step_pooled`]: SearchSession::step_pooled
     pub fn start(config: GaConfig, seed: u64, mut init: impl FnMut(&mut StdRng) -> G) -> Self {
         config.validate().expect("invalid GA configuration");
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1149,7 +977,6 @@ impl<G: Genome + PartialEq + Eq + Hash + Sync> SearchSession<G> {
             fresh_incidents: Vec::new(),
             policy: SupervisionPolicy::default(),
             hazards: None,
-            dead_workers: HashSet::new(),
             generation: 0,
             initialized: false,
             converged: false,
@@ -1183,7 +1010,6 @@ impl<G: Genome + PartialEq + Eq + Hash + Sync> SearchSession<G> {
             fresh_incidents: Vec::new(),
             policy: SupervisionPolicy::default(),
             hazards: None,
-            dead_workers: HashSet::new(),
             generation: state.generation,
             initialized: state.initialized,
             converged: state.converged,
@@ -1271,51 +1097,16 @@ impl<G: Genome + PartialEq + Eq + Hash + Sync> SearchSession<G> {
         }
     }
 
-    /// Runs one step: the first call scores the initial population, each
-    /// later call runs exactly one generation (breed, score, update the
-    /// convergence state). A no-op once [`done`](SearchSession::done).
+    /// Runs one step on a persistent evaluation pool: the first call scores
+    /// the initial population, each later call runs exactly one generation
+    /// (breed, score, update the convergence state). A no-op once
+    /// [`done`](SearchSession::done).
     ///
-    /// Evaluation runs on per-generation scoped threads — the pre-pool
-    /// executor, kept as the baseline the persistent pool
-    /// ([`step_pooled`](SearchSession::step_pooled)) is benched and
-    /// differentially tested against. Both paths are bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas` is empty or an evaluation worker panics.
-    pub fn step<F: ParallelFitness<G>>(&mut self, replicas: &mut [F]) {
-        assert!(
-            !replicas.is_empty(),
-            "at least one evaluation worker is required"
-        );
-        if self.done {
-            return;
-        }
-        self.eval_stats.workers = replicas.len();
-        let Some(round) = self.begin_round() else {
-            return;
-        };
-        let execution = if round.plan.pending.is_empty() {
-            None
-        } else {
-            Some(run_round_scoped(
-                &round.plan,
-                replicas,
-                &mut self.dead_workers,
-                &self.policy,
-                self.hazards.as_ref(),
-            ))
-        };
-        self.finish_round(round, execution);
-    }
-
-    /// Runs one step on a persistent evaluation pool — the production
-    /// executor: candidates become tasks in the pool's work-stealing
-    /// deques, evaluated by long-lived workers whose replica caches stay
-    /// warm across generations. Bit-identical to
-    /// [`step`](SearchSession::step) for any worker count, any steal
-    /// interleaving and any hazard schedule, because verdicts are keyed by
-    /// the campaign-dense evaluation index and drained in dealing order.
+    /// Candidates become tasks in the pool's work-stealing deques,
+    /// evaluated by long-lived workers that each own a replica. The result
+    /// is bit-identical for any worker count, any steal interleaving and
+    /// any hazard schedule, because verdicts are keyed by the
+    /// campaign-dense evaluation index and drained in dealing order.
     ///
     /// # Panics
     ///
@@ -1349,8 +1140,8 @@ impl<G: Genome + PartialEq + Eq + Hash + Sync> SearchSession<G> {
 
     /// Opens one step: breeds the next population (when past the initial
     /// round) and runs the cache pre-pass, yielding the round's plan.
-    /// `None` once the search is done. The caller must pass the plan to an
-    /// executor (scoped or pooled) iff it has pending candidates, then
+    /// `None` once the search is done. The caller must pass the plan to the
+    /// pool iff it has pending candidates, then
     /// hand the outcome to [`finish_round`](SearchSession::finish_round) —
     /// the seam that lets the campaign scheduler interleave many sessions'
     /// rounds into one pool batch.
@@ -1445,7 +1236,8 @@ impl<G: Genome + PartialEq + Eq + Hash + Sync> SearchSession<G> {
     }
 
     /// Records the worker count a scheduler is about to run this session
-    /// on (what [`step`](SearchSession::step) does with `replicas.len()`).
+    /// on (what [`step_pooled`](SearchSession::step_pooled) does with the
+    /// pool's size).
     pub(crate) fn note_workers(&mut self, workers: usize) {
         self.eval_stats.workers = workers;
     }
@@ -1487,9 +1279,9 @@ impl<G: Genome + PartialEq + Eq + Hash + Sync> SearchSession<G> {
     ///
     /// # Panics
     ///
-    /// Panics if nothing was ever evaluated (no [`step`] call).
+    /// Panics if nothing was ever evaluated (no [`step_pooled`] call).
     ///
-    /// [`step`]: SearchSession::step
+    /// [`step_pooled`]: SearchSession::step_pooled
     pub fn finish(self) -> SearchResult<G> {
         let sign = if self.config.minimize { -1.0 } else { 1.0 };
         let leaderboard: Vec<(G, f64)> = self
@@ -1836,6 +1628,18 @@ mod tests {
         }
     }
 
+    /// Runs at most `steps` steps of `session` on a fresh `workers`-thread
+    /// pool (`None` = to the end).
+    fn step_on_pool(session: &mut SearchSession<BitGenome>, workers: usize, steps: Option<usize>) {
+        let pool = EvalPool::new(&CountingPopcount::new(), workers);
+        let mut taken = 0;
+        while !session.done() && steps.is_none_or(|limit| taken < limit) {
+            session.step_pooled(&pool);
+            taken += 1;
+        }
+        pool.shutdown();
+    }
+
     #[test]
     fn parallel_search_is_bit_identical_to_serial() {
         // The tentpole acceptance criterion: the same seed produces the
@@ -2002,28 +1806,64 @@ mod tests {
 
     #[test]
     fn checkpoints_without_cache_size_default_to_zero() {
-        // Checkpoints written before the cache was bounded have no
-        // `cache_size` field in their `eval_stats`; they must still load.
+        // Two generations of legacy checkpoint: one written before the
+        // cache was bounded (no `cache_size` in its `eval_stats`), one
+        // written while `EvalStats` still carried the evaluator's compile
+        // and replica-cache counters, fields it no longer has. Both must
+        // load, and both must resume to the uninterrupted run's result.
         let mut config = GaConfig::paper_defaults();
         config.population_size = 6;
-        config.max_generations = 2;
-        let mut session =
-            SearchSession::start(config, 5, |rng: &mut StdRng| BitGenome::random(rng, 32));
-        let mut replicas = vec![CountingPopcount::new()];
-        session.step(&mut replicas);
+        config.max_generations = 4;
+        config.stagnation_window = 2;
+        let init = |rng: &mut StdRng| BitGenome::random(rng, 32);
+        let clean = {
+            let mut session = SearchSession::start(config, 5, init);
+            step_on_pool(&mut session, 1, None);
+            session.finish()
+        };
+        let mut session = SearchSession::start(config, 5, init);
+        step_on_pool(&mut session, 1, Some(2));
         let json = session.checkpoint().to_json().unwrap();
         assert!(json.contains("\"cache_size\""));
         let needle = "\"cache_size\":";
         let at = json.find(needle).unwrap();
         let rest = &json[at + needle.len()..];
         let end = rest.find(',').unwrap();
-        let legacy = format!("{}{}", &json[..at], &rest[end + 1..]);
-        let state = EngineState::<BitGenome>::from_json(&legacy).unwrap();
-        assert_eq!(state.eval_stats.cache_size, 0);
-        // And the rest of the state still resumes.
-        let mut resumed = SearchSession::resume(state);
-        while !resumed.done() {
-            resumed.step(&mut replicas);
+        let without_cache_size = format!("{}{}", &json[..at], &rest[end + 1..]);
+        let needle = "\"eval_stats\":{";
+        let at = json.find(needle).unwrap() + needle.len();
+        // Spelled with `concat!` so no live source line names a removed
+        // field.
+        let removed_counters = concat!(
+            "\"compile",
+            "_hits\":7,",
+            "\"replica_warm",
+            "_hits\":3,",
+            "\"replica_cold",
+            "_misses\":11,"
+        );
+        let with_compile_counters = format!("{}{removed_counters}{}", &json[..at], &json[at..]);
+        for (tag, legacy) in [
+            ("no cache_size", without_cache_size),
+            ("compile counters", with_compile_counters),
+        ] {
+            let state = EngineState::<BitGenome>::from_json(&legacy).unwrap();
+            if tag == "no cache_size" {
+                assert_eq!(state.eval_stats.cache_size, 0);
+            }
+            let mut resumed = SearchSession::resume(state);
+            step_on_pool(&mut resumed, 2, None);
+            let result = resumed.finish();
+            assert_eq!(result.best, clean.best, "{tag}");
+            assert_eq!(result.best_fitness.to_bits(), clean.best_fitness.to_bits());
+            assert_eq!(result.leaderboard, clean.leaderboard, "{tag}");
+            assert_eq!(result.history, clean.history, "{tag}");
+            assert_eq!(result.generations, clean.generations, "{tag}");
+            assert_eq!(result.converged, clean.converged, "{tag}");
+            assert_eq!(result.similarity.to_bits(), clean.similarity.to_bits());
+            assert_eq!(result.incidents, clean.incidents, "{tag}");
+            assert_eq!(result.eval_stats.evaluations, clean.eval_stats.evaluations);
+            assert_eq!(result.eval_stats.cache_hits, clean.eval_stats.cache_hits);
         }
     }
 
@@ -2061,27 +1901,18 @@ mod tests {
         let init = |rng: &mut StdRng| BitGenome::random(rng, 32);
         let clean = {
             let mut session = SearchSession::start(config, 77, init);
-            let mut replicas = vec![CountingPopcount::new()];
-            while !session.done() {
-                session.step(&mut replicas);
-            }
+            step_on_pool(&mut session, 1, None);
             session.finish()
         };
         for boundary in 0.. {
             let mut session = SearchSession::start(config, 77, init);
-            let mut replicas = vec![CountingPopcount::new()];
-            for _ in 0..boundary {
-                session.step(&mut replicas);
-            }
+            step_on_pool(&mut session, 1, Some(boundary));
             let finished_already = session.done();
             let json = session.checkpoint().to_json().unwrap();
             drop(session); // the "crash"
             let state = EngineState::<BitGenome>::from_json(&json).unwrap();
             let mut resumed = SearchSession::resume(state);
-            let mut replicas = vec![CountingPopcount::new(), CountingPopcount::new()];
-            while !resumed.done() {
-                resumed.step(&mut replicas);
-            }
+            step_on_pool(&mut resumed, 2, None);
             let result = resumed.finish();
             assert_eq!(result.best, clean.best, "boundary={boundary}");
             assert_eq!(result.best_fitness, clean.best_fitness);
@@ -2247,20 +2078,14 @@ mod tests {
         let clean = {
             let mut session = SearchSession::start(config, 91, init);
             session.set_hazards(Some(make_plan()));
-            let mut replicas = vec![CountingPopcount::new(), CountingPopcount::new()];
-            while !session.done() {
-                session.step(&mut replicas);
-            }
+            step_on_pool(&mut session, 2, None);
             session.finish()
         };
         assert!(clean.quarantined() >= 2);
         for boundary in 0.. {
             let mut session = SearchSession::start(config, 91, init);
             session.set_hazards(Some(make_plan()));
-            let mut replicas = vec![CountingPopcount::new(), CountingPopcount::new()];
-            for _ in 0..boundary {
-                session.step(&mut replicas);
-            }
+            step_on_pool(&mut session, 2, Some(boundary));
             let finished_already = session.done();
             let json = session.checkpoint().to_json().unwrap();
             drop(session); // the crash
@@ -2269,10 +2094,7 @@ mod tests {
             // A fresh plan: hazards at already-cached indices never re-fire
             // (the cache serves them), the rest fire exactly as scheduled.
             resumed.set_hazards(Some(make_plan()));
-            let mut replicas = vec![CountingPopcount::new()];
-            while !resumed.done() {
-                resumed.step(&mut replicas);
-            }
+            step_on_pool(&mut resumed, 1, None);
             let result = resumed.finish();
             assert_eq!(result.best, clean.best, "boundary={boundary}");
             assert_eq!(result.incidents, clean.incidents);
@@ -2294,8 +2116,7 @@ mod tests {
         plan.schedule(0, Hazard::Permanent);
         let mut session = SearchSession::start(config, 7, |rng| BitGenome::random(rng, 16));
         session.set_hazards(Some(plan));
-        let mut replicas = vec![CountingPopcount::new()];
-        session.step(&mut replicas);
+        step_on_pool(&mut session, 1, Some(1));
         let state = session.checkpoint();
         let nan_cached = state.cache.iter().filter(|(_, v)| v.is_nan()).count();
         assert_eq!(nan_cached, 1, "the quarantined chromosome is cached NaN");
@@ -2315,10 +2136,10 @@ mod tests {
         config.population_size = 8;
         config.max_generations = 3;
         let mut session = SearchSession::start(config, 41, |rng| BitGenome::random(rng, 16));
-        let mut replicas = vec![CountingPopcount::new()];
+        let pool = EvalPool::new(&CountingPopcount::new(), 1);
         let mut seen = 0u64;
         while !session.done() {
-            session.step(&mut replicas);
+            session.step_pooled(&pool);
             let newly = session.take_newly_evaluated();
             for (g, v) in &newly {
                 assert_eq!(*v, g.count_ones() as f64);

@@ -107,11 +107,12 @@ pub trait Fitness<G: Genome> {
 
     /// Scores a whole generation at once — the entry point the serial
     /// engine path feeds each population through. The default evaluates
-    /// candidates one at a time in population order; substrates with
-    /// generation-level batching (shared compilation, repeat-chromosome
-    /// dedup, grouped plan preparation) override it. Overrides must be
-    /// observationally identical to the per-candidate loop: slot `i` of
-    /// the result is exactly `evaluate(&population[i])`.
+    /// candidates one at a time in population order. Overrides (wrappers
+    /// that observe a generation) must be observationally identical to the
+    /// per-candidate loop: slot `i` of the result is exactly
+    /// `evaluate(&population[i])`. Repeat-chromosome dedup is not this
+    /// method's job: the parallel engine path resolves repeats in its own
+    /// evaluation cache before any candidate reaches a replica.
     fn evaluate_generation(&mut self, population: &[G]) -> Vec<f64> {
         population.iter().map(|g| self.evaluate(g)).collect()
     }
@@ -153,12 +154,10 @@ pub trait ParallelFitness<G: Genome>: Fitness<G> + Send {
     }
 
     /// Monotone counters of the replica's internal caches, as
-    /// `(warm_hits, cold_misses)` — e.g. compile-cache hits vs fresh
-    /// compiles. The persistent evaluation pool samples these around every
-    /// task to report how warm each long-lived replica stays across
-    /// generations ([`crate::EvalStats::replica_warm_hits`] /
-    /// [`crate::EvalStats::replica_cold_misses`]). The default — for
-    /// substrates with no internal caches — reports zeros.
+    /// `(warm_hits, cold_misses)`. No longer read by the engine or the
+    /// evaluation pool — the engine's evaluation cache is the only dedup
+    /// layer it reports — and kept only so existing implementors still
+    /// compile. The default reports zeros.
     fn cache_counters(&self) -> (u64, u64) {
         (0, 0)
     }

@@ -1,15 +1,13 @@
-//! The persistent work-stealing evaluation pool and the multi-campaign
-//! scheduler built on it.
+//! The persistent work-stealing evaluation pool — the engine's only
+//! parallel executor — and the multi-campaign scheduler built on it.
 //!
-//! The per-generation scoped executor (kept in [`crate::engine`] as the
-//! differential baseline) pays thread spawn and replica churn every round
-//! and blocks on a static round-robin deal, so one expensive candidate —
-//! a retry storm, a step-budget blowout, a cold plan cache — leaves every
-//! other worker idle at the generation barrier. [`EvalPool`] replaces it
-//! with workers spawned **once per campaign driver**: each owns a warm
-//! [`ParallelFitness`] replica whose plan/profile/compile caches survive
+//! [`EvalPool`] spawns its workers **once per campaign driver**: each owns
+//! a warm [`ParallelFitness`] replica whose plan/profile caches survive
 //! across generations, candidates are pushed as tasks into per-worker
-//! deques, and an idle worker steals from the back of a loaded one.
+//! deques, and an idle worker steals from the back of a loaded one, so one
+//! expensive candidate — a retry storm, a step-budget blowout, a cold plan
+//! cache — does not leave every other worker idle at the generation
+//! barrier.
 //!
 //! # Why stealing cannot change the result
 //!
@@ -29,7 +27,7 @@
 //!   sorted by `(eval index, attempt, phase)`.
 //!
 //! The result — scores, journal records, incident stream — is therefore
-//! bit-identical to the scoped baseline for any worker count, any steal
+//! bit-identical for any worker count (one worker included), any steal
 //! interleaving and any hazard schedule; the differential suites pin this.
 //!
 //! # Fair-share scheduling
@@ -91,8 +89,6 @@ struct TaskDone {
     incidents: Vec<PendingIncident>,
     worker: usize,
     stolen: bool,
-    warm_delta: u64,
-    cold_delta: u64,
     busy_ns: u64,
 }
 
@@ -112,8 +108,7 @@ struct PoolState<G, F> {
     batch: Option<Batch<G>>,
     /// Workers currently dead (killed by a hazard). Persists across
     /// batches — a dead worker stays dead for the rest of the campaign
-    /// unless the whole pool dies and is revived — mirroring the scoped
-    /// executor's session-lifetime dead set.
+    /// unless the whole pool dies and is revived.
     dead: HashSet<usize>,
     shutdown: bool,
     /// Replicas handed back by exiting workers, by worker slot.
@@ -227,7 +222,6 @@ where
             continue;
         }
         let started = Instant::now();
-        let (warm_before, cold_before) = replica.cache_counters();
         let mut local = Vec::new();
         let verdict = supervise_one(
             &mut replica,
@@ -237,7 +231,6 @@ where
             hazards.as_ref(),
             &mut local,
         );
-        let (warm_after, cold_after) = replica.cache_counters();
         let busy_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let mut state = shared.state.lock().expect("pool state poisoned");
         let batch = state
@@ -251,8 +244,6 @@ where
             incidents: local,
             worker: id,
             stolen,
-            warm_delta: warm_after.saturating_sub(warm_before),
-            cold_delta: cold_after.saturating_sub(cold_before),
             busy_ns,
         });
         batch.outstanding -= 1;
@@ -434,8 +425,6 @@ where
             if done.stolen {
                 round_stats.steals += 1;
             }
-            round_stats.warm_hits += done.warm_delta;
-            round_stats.cold_misses += done.cold_delta;
             busy[done.worker] += done.busy_ns;
         }
         for (round, eval_index) in batch.losses {
@@ -467,7 +456,7 @@ where
                         .collect(),
                     incidents: round_incidents,
                     alive_workers,
-                    pool: Some(round_stats),
+                    pool: round_stats,
                 }
             })
             .collect()
@@ -786,41 +775,27 @@ mod tests {
     use crate::supervise::Hazard;
     use rand::rngs::StdRng;
 
-    /// A popcount fitness with an internal memo, so the pool's warm/cold
-    /// replica-cache counters have something real to sample.
+    /// A popcount fitness counting the substrate evaluations its replica
+    /// ran, so a test can check every task ran exactly once somewhere.
     #[derive(Debug, Clone, Default)]
-    struct MemoPopcount {
-        memo: std::collections::HashMap<Vec<u64>, f64>,
-        warm: u64,
-        cold: u64,
+    struct Popcount {
+        evaluated: u64,
     }
 
-    impl Fitness<BitGenome> for MemoPopcount {
+    impl Fitness<BitGenome> for Popcount {
         fn evaluate(&mut self, genome: &BitGenome) -> f64 {
-            let key = genome.to_words();
-            if let Some(&score) = self.memo.get(&key) {
-                self.warm += 1;
-                return score;
-            }
-            self.cold += 1;
-            let score = genome.count_ones() as f64;
-            self.memo.insert(key, score);
-            score
+            self.evaluated += 1;
+            genome.count_ones() as f64
         }
     }
 
-    impl ParallelFitness<BitGenome> for MemoPopcount {
+    impl ParallelFitness<BitGenome> for Popcount {
         fn replicate(&self) -> Self {
-            MemoPopcount::default()
+            Popcount::default()
         }
 
         fn absorb(&mut self, replica: Self) {
-            self.warm += replica.warm;
-            self.cold += replica.cold;
-        }
-
-        fn cache_counters(&self) -> (u64, u64) {
-            (self.warm, self.cold)
+            self.evaluated += replica.evaluated;
         }
     }
 
@@ -839,27 +814,13 @@ mod tests {
         session
     }
 
-    fn run_scoped(
-        seed: u64,
-        workers: usize,
-        hazards: Option<HazardPlan>,
-    ) -> SearchResult<BitGenome> {
-        let mut session = session_with(seed, hazards);
-        let mut replicas: Vec<MemoPopcount> =
-            (0..workers).map(|_| MemoPopcount::default()).collect();
-        while !session.done() {
-            session.step(&mut replicas);
-        }
-        session.finish()
-    }
-
     fn run_pooled(
         seed: u64,
         workers: usize,
         hazards: Option<HazardPlan>,
     ) -> SearchResult<BitGenome> {
         let mut session = session_with(seed, hazards);
-        let pool = EvalPool::new(&MemoPopcount::default(), workers);
+        let pool = EvalPool::new(&Popcount::default(), workers);
         while !session.done() {
             session.step_pooled(&pool);
         }
@@ -898,20 +859,22 @@ mod tests {
     }
 
     #[test]
-    fn pooled_matches_scoped_for_any_worker_count() {
-        let reference = run_scoped(77, 1, None);
-        for workers in [1usize, 2, 8] {
+    fn pool_results_are_worker_count_invariant() {
+        let reference = run_pooled(77, 1, None);
+        for workers in [2usize, 3, 8] {
             let pooled = run_pooled(77, workers, None);
             assert_same_search(&pooled, &reference, &format!("workers={workers}"));
         }
     }
 
     #[test]
-    fn pooled_matches_scoped_under_hazards() {
-        let reference = run_scoped(53, 1, Some(hazard_mix()));
+    fn pool_results_are_worker_count_invariant_under_hazards() {
+        // Each run gets a freshly built plan: a `HazardPlan` clone shares
+        // the fire-once schedule.
+        let reference = run_pooled(53, 1, Some(hazard_mix()));
         assert!(reference.quarantined() >= 2);
         assert!(reference.workers_lost() >= 1);
-        for workers in [1usize, 2, 8] {
+        for workers in [2usize, 3, 8] {
             let pooled = run_pooled(53, workers, Some(hazard_mix()));
             assert_same_search(&pooled, &reference, &format!("hazard workers={workers}"));
         }
@@ -929,8 +892,8 @@ mod tests {
             plan
         };
         let pooled = run_pooled(19, 2, Some(kills()));
-        let scoped = run_scoped(19, 2, Some(kills()));
-        assert_same_search(&pooled, &scoped, "revival");
+        let lone = run_pooled(19, 1, Some(kills()));
+        assert_same_search(&pooled, &lone, "revival");
         assert_eq!(pooled.workers_lost(), 3);
         assert!(pooled.best_fitness.is_finite());
     }
@@ -938,7 +901,7 @@ mod tests {
     #[test]
     fn pool_stats_account_for_every_evaluation() {
         let mut session = session_with(31, None);
-        let pool = EvalPool::new(&MemoPopcount::default(), 4);
+        let pool = EvalPool::new(&Popcount::default(), 4);
         while !session.done() {
             session.step_pooled(&pool);
         }
@@ -951,13 +914,11 @@ mod tests {
             "every distinct evaluation runs exactly once on some worker"
         );
         assert!(stats.steals <= stats.evaluations);
+        let replica_runs: u64 = replicas.iter().map(|r| r.evaluated).sum();
         assert_eq!(
-            stats.replica_warm_hits + stats.replica_cold_misses,
-            stats.evaluations,
-            "memo counters partition the evaluations"
+            replica_runs, stats.evaluations,
+            "the replicas ran exactly the counted evaluations"
         );
-        let replica_cold: u64 = replicas.iter().map(|r| r.cold).sum();
-        assert_eq!(replica_cold, stats.replica_cold_misses);
     }
 
     #[test]
@@ -967,7 +928,7 @@ mod tests {
             .iter()
             .map(|&seed| run_pooled(seed, 3, None))
             .collect();
-        let mut scheduler = CampaignScheduler::new(EvalPool::new(&MemoPopcount::default(), 3));
+        let mut scheduler = CampaignScheduler::new(EvalPool::new(&Popcount::default(), 3));
         for &seed in &seeds {
             scheduler.add(session_with(seed, None), None);
         }
@@ -988,7 +949,7 @@ mod tests {
 
     #[test]
     fn scheduler_step_budget_pauses_without_blocking_others() {
-        let mut scheduler = CampaignScheduler::new(EvalPool::new(&MemoPopcount::default(), 2));
+        let mut scheduler = CampaignScheduler::new(EvalPool::new(&Popcount::default(), 2));
         let budgeted = scheduler.add(session_with(7, None), Some(2));
         let free = scheduler.add(session_with(8, None), None);
         scheduler.run();
@@ -999,15 +960,15 @@ mod tests {
             "unbudgeted campaign ran out"
         );
         // Raising the budget is adding a new scheduler on the same pool; a
-        // paused session can simply keep stepping.
+        // paused session can simply keep stepping, here on a lone worker.
         let (mut sessions, _replicas) = scheduler.finish();
         let paused = &mut sessions[0];
-        let mut replicas = vec![MemoPopcount::default()];
+        let pool = EvalPool::new(&Popcount::default(), 1);
         while !paused.done() {
-            paused.step(&mut replicas);
+            paused.step_pooled(&pool);
         }
         let resumed = std::mem::replace(paused, session_with(7, None)).finish();
-        let reference = run_scoped(7, 1, None);
+        let reference = run_pooled(7, 1, None);
         assert_same_search(&resumed, &reference, "budget-paused continuation");
     }
 
@@ -1018,12 +979,9 @@ mod tests {
             cache_hits: 3,
             workers: 2,
             cache_size: 5,
-            compile_hits: 4,
             steals: 2,
             max_worker_idle_ns: 100,
             worker_tasks: vec![6, 4],
-            replica_warm_hits: 1,
-            replica_cold_misses: 9,
             generation_eval_seconds: vec![0.5, 0.25],
         };
         let b = EvalStats {
@@ -1031,12 +989,9 @@ mod tests {
             cache_hits: 1,
             workers: 4,
             cache_size: 7,
-            compile_hits: 2,
             steals: 5,
             max_worker_idle_ns: 40,
             worker_tasks: vec![1, 2, 3, 1],
-            replica_warm_hits: 2,
-            replica_cold_misses: 5,
             generation_eval_seconds: vec![0.125],
         };
         a.merge(&b);
@@ -1044,19 +999,16 @@ mod tests {
         assert_eq!(a.cache_hits, 4);
         assert_eq!(a.workers, 4, "workers is the max across campaigns");
         assert_eq!(a.cache_size, 12);
-        assert_eq!(a.compile_hits, 6);
         assert_eq!(a.steals, 7);
         assert_eq!(a.max_worker_idle_ns, 100);
         assert_eq!(a.worker_tasks, vec![7, 6, 3, 1]);
-        assert_eq!(a.replica_warm_hits, 3);
-        assert_eq!(a.replica_cold_misses, 14);
         assert_eq!(a.generation_eval_seconds, vec![0.625, 0.25]);
     }
 
     #[test]
     #[should_panic(expected = "at least one evaluation worker")]
     fn zero_workers_is_rejected() {
-        EvalPool::new(&MemoPopcount::default(), 0);
+        EvalPool::new(&Popcount::default(), 0);
     }
 
     /// A popcount fitness whose replicas carry a shared token, so a test
@@ -1077,12 +1029,6 @@ mod tests {
             TokenPopcount {
                 token: Arc::clone(&self.token),
             }
-        }
-
-        fn absorb(&mut self, _replica: Self) {}
-
-        fn cache_counters(&self) -> (u64, u64) {
-            (0, 0)
         }
     }
 
@@ -1120,7 +1066,7 @@ mod tests {
             .iter()
             .map(|&seed| run_pooled(seed, 3, None))
             .collect();
-        let mut scheduler = CampaignScheduler::new(EvalPool::new(&MemoPopcount::default(), 3));
+        let mut scheduler = CampaignScheduler::new(EvalPool::new(&Popcount::default(), 3));
         let ids: Vec<usize> = seeds
             .iter()
             .map(|&seed| scheduler.add(session_with(seed, None), None))
@@ -1150,7 +1096,7 @@ mod tests {
     #[test]
     fn pausing_a_campaign_preserves_its_trajectory() {
         let reference = run_pooled(909, 2, None);
-        let mut scheduler = CampaignScheduler::new(EvalPool::new(&MemoPopcount::default(), 2));
+        let mut scheduler = CampaignScheduler::new(EvalPool::new(&Popcount::default(), 2));
         let id = scheduler.add(session_with(909, None), None);
         scheduler.tick();
         scheduler.set_paused(id, true);

@@ -104,12 +104,12 @@ if savings:
     subs["MEASURED_F14_DRAM"] = dram
     subs["MEASURED_F14_SYS"] = sysv
 
-missing = []
-for key, value in subs.items():
-    if key in text:
-        text = text.replace(key, value)
-    else:
-        missing.append(key)
+# One pass over whole `MEASURED_\w+` tokens: replacing keys one by one in
+# dict order would let a key rewrite the front of a longer key that shares
+# its prefix (MEASURED_F8A inside MEASURED_F8A_1100).
+present = set(re.findall(r"MEASURED_\w+", text))
+missing = [key for key in subs if key not in present]
+text = re.sub(r"MEASURED_\w+", lambda m: subs.get(m.group(0), m.group(0)), text)
 left = re.findall(r"MEASURED_\w+", text)
 exp_path.write_text(text)
 print("substituted:", len(subs), "placeholders left:", left, "unused keys:", missing)

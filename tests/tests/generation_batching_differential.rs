@@ -1,9 +1,8 @@
-//! Differential tests for the population-batched generation evaluation
-//! path: batching (chromosome dedup, shared plan/profile caches, the
-//! lane-packed VRT window kernel, the VM's bulk-fill fast path) is a pure
-//! optimization, so every score must be bit-identical to the uncached
-//! per-candidate reference oracle — for any worker count, any cache state,
-//! and under hazard schedules. Also pins the regression behaviour of the
+//! Differential tests for the batched evaluation path: batching (shared
+//! plan/profile caches, the lane-packed VRT window kernel, the VM's
+//! bulk-fill fast path) is a pure optimization, so every score must be
+//! bit-identical to the uncached per-candidate reference oracle — for any
+//! worker count, any cache state, and under hazard schedules. Also pins the regression behaviour of the
 //! three bugfixes that rode along: typed stale-plan errors, exact index
 //! narrowing, and the bounded evaluation cache.
 
@@ -36,14 +35,15 @@ fn chromosome(pattern: u64) -> HashMap<String, BoundValue> {
     [("PATTERN".to_string(), BoundValue::Scalar(pattern))].into()
 }
 
-/// Scores `patterns` through the batched generation entry point, asserting
-/// that no slot faulted.
+/// Scores `patterns` one after another through the batched evaluation
+/// path on one evaluator, so later candidates see the plan and profile
+/// caches earlier ones warmed; asserts that no candidate faulted.
 fn batched_scores(eval: &mut VirusEvaluator, patterns: &[u64]) -> Vec<f64> {
-    let chromosomes: Vec<_> = patterns.iter().map(|&p| chromosome(p)).collect();
-    eval.evaluate_generation(&chromosomes)
-        .into_iter()
-        .map(|r| {
-            r.expect("quick-scale word64 candidates never fault")
+    patterns
+        .iter()
+        .map(|&p| {
+            eval.evaluate_bindings(chromosome(p))
+                .expect("quick-scale word64 candidates never fault")
                 .fitness
         })
         .collect()
@@ -222,7 +222,7 @@ proptest! {
 
     /// Any population of word64 patterns (repeats and all), at any of the
     /// campaign operating points, scores bit-identically through the
-    /// batched generation path and the uncached per-candidate oracle.
+    /// batched evaluation path and the uncached per-candidate oracle.
     #[test]
     fn batched_generation_equals_oracle_for_random_populations(
         patterns in proptest::collection::vec(any::<u64>(), 1..5),
