@@ -5,8 +5,11 @@
 //! evaluation at the server layer. The prepared path re-examines only the
 //! VRT-contingent cells each window (everything else is pre-partitioned
 //! into static events at `prepare_run` time), so it must win by a wide
-//! margin — the PR's acceptance bar is 5×. `scripts/record_window_kernel.sh`
-//! records both sides to `BENCH_window_kernel.json`.
+//! margin — the PR's acceptance bar is 5×. `plan/cold` times one plan build
+//! after a write, cell-state refresh included, on a fully written DIMM: the
+//! target-MCU plan build of a candidate evaluation.
+//! `scripts/record_window_kernel.sh` records every row to
+//! `BENCH_window_kernel.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dstress_dram::geometry::RowKey;
@@ -46,6 +49,34 @@ fn bench(c: &mut Criterion) {
             dimm.advance_window_planned(&plan, nonce, &mut events)
                 .expect("plan is fresh");
             std::hint::black_box(events.len())
+        })
+    });
+
+    // DIMM layer, cold plan: the whole DIMM holds the worst word (as a
+    // 64-bit data-pattern virus leaves it) and each iteration rewrites one
+    // word, so the contents generation bumps and `prepare_run` pays the
+    // cell-state refresh before its plan loop — the target-MCU plan build
+    // of one candidate evaluation.
+    let mut cold = Dimm::new(DimmConfig::default(), 1);
+    let geo = cold.geometry();
+    let row = vec![0x3333_3333_3333_3333u64; words];
+    for rank in 0..geo.ranks {
+        for bank in 0..geo.banks {
+            for r in 0..geo.rows_per_bank {
+                cold.write_row(RowKey::new(rank, bank, r), &row);
+            }
+        }
+    }
+    let mut flip = 0u64;
+    c.bench_function("plan/cold", |b| {
+        b.iter(|| {
+            flip ^= 1;
+            cold.write_word(Location::new(0, 0, 0, 0), 0x3333_3333_3333_3333 ^ flip);
+            std::hint::black_box(
+                cold.prepare_run(&env, &disturbance)
+                    .expect("plan builds")
+                    .vrt_cells(),
+            )
         })
     });
 

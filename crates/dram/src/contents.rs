@@ -159,12 +159,25 @@ impl RowStore {
         }
     }
 
+    /// The word every unmaterialized location reads as.
+    pub fn default_word(&self) -> u64 {
+        self.default_word
+    }
+
+    /// The stored words of a whole row, or `None` when the row was never
+    /// written and every word of it reads [`Self::default_word`]: one
+    /// lookup serves every bit a caller gathers from the row.
+    pub fn row_words(&self, row: RowKey) -> Option<&[u64]> {
+        self.rows.get(&row).map(Vec::as_slice)
+    }
+
     /// Reads the logical bit `bit_in_row` (word column × 64 + bit) of a row.
     ///
     /// # Panics
     ///
     /// Panics if the row or bit is outside the geometry.
-    pub fn read_bit(&self, row: RowKey, bit_in_row: u32) -> bool {
+    #[cfg(test)]
+    pub(crate) fn read_bit(&self, row: RowKey, bit_in_row: u32) -> bool {
         assert!(
             (bit_in_row as usize) < self.geometry.bits_per_row(),
             "bit {bit_in_row} outside row"
@@ -324,6 +337,21 @@ mod tests {
         assert!(s.read_bit(row, 2 * 64));
         assert!(!s.read_bit(row, 2 * 64 + 1));
         assert!(s.read_bit(row, 2 * 64 + 2));
+    }
+
+    #[test]
+    fn row_words_exposes_materialized_rows_only() {
+        let mut s = store();
+        let row = RowKey::new(1, 4, 9);
+        assert_eq!(s.row_words(row), None);
+        assert_eq!(s.default_word(), 0xAAAA_AAAA_AAAA_AAAA);
+        s.write_word(Location::new(1, 4, 9, 3), 7);
+        let words = s.row_words(row).expect("written row is materialized");
+        assert_eq!(words.len(), 1024);
+        assert_eq!(words[3], 7);
+        assert_eq!(words[4], s.default_word());
+        s.clear();
+        assert_eq!(s.row_words(row), None);
     }
 
     #[test]

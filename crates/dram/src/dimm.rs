@@ -10,9 +10,10 @@ use crate::faults::FaultSet;
 use crate::geometry::{DimmGeometry, Location, RowKey};
 use crate::plan::{PlanError, RunPlan, VrtWord};
 use crate::retention::PhysicsParams;
-use crate::topology::{Topology, TopologyConfig};
+use crate::topology::{CellKind, Topology, TopologyConfig};
 use crate::weak::{vrt_degraded, WeakCellConfig, WeakCellPopulation};
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
 
 /// Full configuration of a simulated DIMM.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
@@ -33,21 +34,133 @@ pub struct DimmConfig {
 
 /// Cached per-weak-cell state that depends only on stored data (not on the
 /// operating point or on activations): whether the cell is charged and the
-/// data-dependent interference multiplier.
+/// data-dependent interference multiplier, plus each weak word's stored
+/// value.
 ///
-/// Stored structure-of-arrays style: one flat array per attribute, with
-/// `offsets[w]..offsets[w + 1]` covering the cells of weak word `w`. The
-/// flat layout keeps the window-evaluation and plan-construction loops on
-/// two dense arrays instead of chasing one heap allocation per weak word.
-#[derive(Debug, Clone, Default)]
+/// Stored structure-of-arrays style, one flat array per attribute in
+/// population order (the cells of weak word `w` follow those of words
+/// `0..w`). The flat layout keeps the window-evaluation and
+/// plan-construction loops on dense arrays instead of chasing one heap
+/// allocation per weak word, and the plan build reads `written` instead of
+/// looking its words up in the row store again.
+#[derive(Debug, Clone, Default, PartialEq)]
 struct CellCache {
-    /// Per-word start offsets into the flat arrays (`words + 1` entries).
-    offsets: Vec<u32>,
+    /// The stored value of each weak word.
+    written: Vec<u64>,
     /// Whether each cell currently holds charge.
     charged: Vec<bool>,
     /// Data-dependent interference multiplier of each cell (1.0 when
     /// discharged).
     interference: Vec<f64>,
+}
+
+/// [`CellProbe::flags`]: the weak cell is a true-cell. The cells at the same
+/// physical position in the neighbour rows share its polarity.
+const TRUE_CELL: u8 = 1 << 0;
+/// [`CellProbe::flags`]: the left bitline neighbour is a true-cell.
+const LEFT_TRUE: u8 = 1 << 1;
+/// [`CellProbe::flags`]: the right bitline neighbour is a true-cell.
+const RIGHT_TRUE: u8 = 1 << 2;
+/// [`CellProbe::flags`]: the cell has a left bitline neighbour.
+const HAS_LEFT: u8 = 1 << 3;
+/// [`CellProbe::flags`]: the cell has a right bitline neighbour.
+const HAS_RIGHT: u8 = 1 << 4;
+/// [`CellProbe::flags`]: the bank has a row above (`row - 1`).
+const HAS_ABOVE: u8 = 1 << 5;
+/// [`CellProbe::flags`]: the bank has a row below (`row + 1`).
+const HAS_BELOW: u8 = 1 << 6;
+
+/// Where the cell-state refresh reads one weak cell's neighbourhood: the
+/// logical bit positions (word column × 64 + bit) of its two physical
+/// bitline neighbours in its own row and of the same physical position in
+/// the rows above and below, plus the polarities, packed into `flags`. The
+/// cell's own logical bit is `loc.col * 64 + bit` and is not stored.
+///
+/// A pure function of the hidden topology, so it is built once per device
+/// and the per-candidate refresh is a gather of stored bits.
+#[derive(Debug, Clone, Copy)]
+struct CellProbe {
+    left: u32,
+    right: u32,
+    above: u32,
+    below: u32,
+    flags: u8,
+}
+
+// One probe per weak cell, shared by every clone: keep it compact.
+const _: () = assert!(std::mem::size_of::<CellProbe>() <= 20);
+
+impl CellProbe {
+    fn has(&self, flag: u8) -> bool {
+        self.flags & flag != 0
+    }
+}
+
+/// The content-independent hidden device of a DIMM: its topology, its weak
+/// cells and the probe table derived from both. Immutable once built, so
+/// clones of a [`Dimm`] (the per-worker server replicas) share one copy.
+#[derive(Debug)]
+struct HiddenDevice {
+    topology: Topology,
+    population: WeakCellPopulation,
+    /// One probe per weak cell in population order, built on the first
+    /// cell-state refresh (a boot pays nothing for it).
+    probes: OnceLock<Vec<CellProbe>>,
+}
+
+impl HiddenDevice {
+    /// The probe table, built on first use.
+    fn probes(&self) -> &[CellProbe] {
+        self.probes.get_or_init(|| self.build_probes())
+    }
+
+    fn build_probes(&self) -> Vec<CellProbe> {
+        let topo = &self.topology;
+        let rows_per_bank = topo.geometry().rows_per_bank;
+        let is_true = |phys: u32| topo.kind_at_physical(phys) == CellKind::True;
+        let mut probes = Vec::with_capacity(self.population.total_cells());
+        for word in self.population.words() {
+            let row = word.loc.row_key();
+            for cell in &word.cells {
+                let phys = topo.physical_bit(row, word.loc.col * 64 + cell.bit as u32);
+                let mut probe = CellProbe {
+                    left: 0,
+                    right: 0,
+                    above: 0,
+                    below: 0,
+                    flags: if is_true(phys) { TRUE_CELL } else { 0 },
+                };
+                let (left, right) = topo.physical_neighbours(phys);
+                if let Some(np) = left {
+                    probe.left = topo.logical_bit(row, np);
+                    probe.flags |= HAS_LEFT | if is_true(np) { LEFT_TRUE } else { 0 };
+                }
+                if let Some(np) = right {
+                    probe.right = topo.logical_bit(row, np);
+                    probe.flags |= HAS_RIGHT | if is_true(np) { RIGHT_TRUE } else { 0 };
+                }
+                let adjacent = |adj: Option<u32>| {
+                    adj.filter(|&r| r < rows_per_bank)
+                        .map(|r| topo.logical_bit(RowKey::new(row.rank, row.bank, r), phys))
+                };
+                if let Some(bit) = adjacent(row.row.checked_sub(1)) {
+                    probe.above = bit;
+                    probe.flags |= HAS_ABOVE;
+                }
+                if let Some(bit) = adjacent(row.row.checked_add(1)) {
+                    probe.below = bit;
+                    probe.flags |= HAS_BELOW;
+                }
+                probes.push(probe);
+            }
+        }
+        probes
+    }
+}
+
+/// The logical bit `bit_in_row` (word column × 64 + bit) of a row's words.
+fn row_bit(words: &[u64], bit_in_row: u32) -> bool {
+    (words[(bit_in_row / 64) as usize] >> (bit_in_row % 64)) & 1 == 1
 }
 
 /// A simulated DIMM.
@@ -58,12 +171,15 @@ struct CellCache {
 /// internals (topology, weak cells) are reachable read-only for calibration
 /// and tests, mirroring a vendor's fab-level knowledge; the DStress
 /// framework layers never touch them.
+///
+/// Cloning shares the immutable hidden device (topology, weak cells and
+/// their probe table) and copies only the mutable state: contents, cell
+/// cache and injected faults.
 #[derive(Debug, Clone)]
 pub struct Dimm {
     config: DimmConfig,
     seed: u64,
-    topology: Topology,
-    population: WeakCellPopulation,
+    device: Arc<HiddenDevice>,
     contents: RowStore,
     map: AddressMap,
     cache: CellCache,
@@ -87,8 +203,11 @@ impl Dimm {
         Dimm {
             config,
             seed,
-            topology,
-            population,
+            device: Arc::new(HiddenDevice {
+                topology,
+                population,
+                probes: OnceLock::new(),
+            }),
             contents,
             map,
             cache: CellCache::default(),
@@ -121,13 +240,13 @@ impl Dimm {
     /// test use only** — the DStress framework never inspects this,
     /// mirroring the paper's no-internal-knowledge premise.
     pub fn population(&self) -> &WeakCellPopulation {
-        &self.population
+        &self.device.population
     }
 
     /// Read-only view of the hidden topology. **Calibration and test use
     /// only.**
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        &self.device.topology
     }
 
     /// Injects a logical (hard) fault into the array — see
@@ -284,23 +403,30 @@ impl Dimm {
     /// words sharing a row are consecutive and the per-row factor is
     /// memoized across them.
     pub fn disturbance_profile(&self, acts: &ActivationCounts) -> Vec<f64> {
-        let words = self.population.words();
+        let words = self.device.population.words();
         if acts.total() == 0 {
             return vec![0.0; words.len()];
         }
         let geo = self.config.geometry;
         let banks = geo.banks as usize;
-        let mut by_bank: Vec<Vec<(u32, u64)>> = vec![Vec::new(); geo.ranks as usize * banks];
+        let mut by_bank: Vec<Vec<(u32, f64)>> = vec![Vec::new(); geo.ranks as usize * banks];
         for (row, count) in acts.iter() {
             // Aggressors outside the geometry share a bank with no victim.
             if row.rank < geo.ranks && row.bank < geo.banks {
-                by_bank[row.rank as usize * banks + row.bank as usize].push((row.row, count));
+                by_bank[row.rank as usize * banks + row.bank as usize]
+                    .push((row.row, count as f64));
             }
         }
+        // Rows are distinct within a bank, so the row alone fixes the order.
         for bank_acts in &mut by_bank {
-            bank_acts.sort_unstable();
+            bank_acts.sort_unstable_by_key(|&(row, _)| row);
         }
         let model = &self.config.disturbance;
+        // The decay weight of an aggressor depends only on its row distance;
+        // tabulating it over the bank's rows evaluates the same expression
+        // once per distance instead of once per (victim, aggressor) pair.
+        let decay = |distance: f64| (-distance / model.decay_rows).exp();
+        let decay_by_distance: Vec<f64> = (0..geo.rows_per_bank).map(|d| decay(d as f64)).collect();
         let mut profile = Vec::with_capacity(words.len());
         let mut memo: Option<(RowKey, f64)> = None;
         for word in words {
@@ -314,8 +440,12 @@ impl Dimm {
                         if aggressor == row.row {
                             continue;
                         }
-                        let distance = (aggressor as f64 - row.row as f64).abs();
-                        hammer += count as f64 * (-distance / model.decay_rows).exp();
+                        let distance = aggressor.abs_diff(row.row);
+                        let weight = decay_by_distance
+                            .get(distance as usize)
+                            .copied()
+                            .unwrap_or_else(|| decay(distance as f64));
+                        hammer += count * weight;
                     }
                     let f = model.factor_from_hammer(hammer);
                     memo = Some((row, f));
@@ -348,15 +478,15 @@ impl Dimm {
     ) -> Vec<WordEvent> {
         assert_eq!(
             disturbance.len(),
-            self.population.words().len(),
+            self.device.population.words().len(),
             "disturbance profile length mismatch"
         );
         self.refresh_cache_if_stale();
         let physics = &self.config.physics;
         let env_factor = physics.env_factor(env);
         let mut events = Vec::new();
-        for (w, (word, &row_disturb)) in self.population.words().iter().zip(disturbance).enumerate()
-        {
+        let mut base = 0usize;
+        for (word, &row_disturb) in self.device.population.words().iter().zip(disturbance) {
             // Clustered defect pairs are comparatively hammer-resistant
             // (see PhysicsParams::pair_disturbance_mult).
             let word_disturb = if word.cells.len() >= 2 {
@@ -364,7 +494,6 @@ impl Dimm {
             } else {
                 row_disturb
             };
-            let base = self.cache.offsets[w] as usize;
             let mut flip_mask = 0u64;
             for (i, cell) in word.cells.iter().enumerate() {
                 let mut retention = cell.base_retention_s * env_factor;
@@ -382,6 +511,7 @@ impl Dimm {
                     flip_mask |= 1u64 << cell.bit;
                 }
             }
+            base += word.cells.len();
             if flip_mask != 0 {
                 let written = self.contents.read_word(word.loc);
                 events.push(WordEvent {
@@ -424,7 +554,7 @@ impl Dimm {
     ) -> Result<RunPlan, PlanError> {
         assert_eq!(
             disturbance.len(),
-            self.population.words().len(),
+            self.device.population.words().len(),
             "disturbance profile length mismatch"
         );
         self.refresh_cache_if_stale();
@@ -436,14 +566,14 @@ impl Dimm {
         let mut bit_indices = Vec::new();
         let mut bit_flip_when_degraded = Vec::new();
         let mut statics_since_vrt = 0u32;
-        for (w, (word, &row_disturb)) in self.population.words().iter().zip(disturbance).enumerate()
-        {
+        let mut base = 0usize;
+        let words = self.device.population.words().iter().zip(disturbance);
+        for ((word, &row_disturb), &written) in words.zip(&self.cache.written) {
             let word_disturb = if word.cells.len() >= 2 {
                 row_disturb * physics.pair_disturbance_mult
             } else {
                 row_disturb
             };
-            let base = self.cache.offsets[w] as usize;
             let bits_start = bit_masks.len();
             let mut base_mask = 0u64;
             for (i, cell) in word.cells.iter().enumerate() {
@@ -474,12 +604,13 @@ impl Dimm {
                     base_mask |= 1u64 << cell.bit;
                 }
             }
+            base += word.cells.len();
             let bits_end = bit_masks.len();
             if bits_end > bits_start {
                 vrt_words.push(VrtWord {
                     statics_before: statics_since_vrt,
                     loc: word.loc,
-                    written: self.contents.read_word(word.loc),
+                    written,
                     base_mask,
                     bits_start: plan_index("bits_start", bits_start)?,
                     bits_end: plan_index("bits_end", bits_end)?,
@@ -488,7 +619,7 @@ impl Dimm {
             } else if base_mask != 0 {
                 static_events.push(WordEvent {
                     loc: word.loc,
-                    written: self.contents.read_word(word.loc),
+                    written,
                     flip_mask: base_mask,
                 });
                 statics_since_vrt = plan_index("statics_before", statics_since_vrt as usize + 1)?;
@@ -569,32 +700,68 @@ impl Dimm {
     }
 
     /// Recomputes the data-dependent per-cell state when contents changed.
+    ///
+    /// A gather over the device's probe table: each weak row and its two
+    /// neighbour rows are looked up once (the population is sorted by
+    /// location, so one lookup serves a whole row), then every cell reads
+    /// its own, bitline-neighbour and neighbour-row bits by position.
     fn refresh_cache_if_stale(&mut self) {
-        if self.cache_generation == Some(self.contents.generation()) {
+        let generation = self.contents.generation();
+        if self.cache_generation == Some(generation) {
             return;
         }
         let physics = self.config.physics;
-        let geometry = self.config.geometry;
-        let total = self.population.total_cells();
-        let mut cache = CellCache {
-            offsets: Vec::with_capacity(self.population.words().len() + 1),
-            charged: Vec::with_capacity(total),
-            interference: Vec::with_capacity(total),
+        let device = &*self.device;
+        let probes = device.probes();
+        let contents = &self.contents;
+        // Unwritten rows read as the default fill.
+        let default_row = vec![contents.default_word(); self.config.geometry.words_per_row()];
+        let mut cache = std::mem::take(&mut self.cache);
+        cache.written.clear();
+        cache.charged.clear();
+        cache.interference.clear();
+        let mut cells = probes.iter();
+        let lookup = |row: RowKey, adj: Option<u32>| {
+            adj.and_then(|r| contents.row_words(RowKey::new(row.rank, row.bank, r)))
+                .unwrap_or(&default_row)
         };
-        for word in self.population.words() {
+        // The rows above, at and below the current weak row; moving to the
+        // next row of a bank slides the window by one lookup.
+        let mut gathered: Option<(RowKey, [&[u64]; 3])> = None;
+        for word in device.population.words() {
             let row = word.loc.row_key();
-            cache.offsets.push(cache.charged.len() as u32);
+            let [above, own, below] = match gathered {
+                Some((r, rows)) if r == row => rows,
+                Some((r, [_, prev, next]))
+                    if (r.rank, r.bank) == (row.rank, row.bank) && r.row + 1 == row.row =>
+                {
+                    let rows = [prev, next, lookup(row, row.row.checked_add(1))];
+                    gathered = Some((row, rows));
+                    rows
+                }
+                _ => {
+                    let rows = [
+                        lookup(row, row.row.checked_sub(1)),
+                        lookup(row, Some(row.row)),
+                        lookup(row, row.row.checked_add(1)),
+                    ];
+                    gathered = Some((row, rows));
+                    rows
+                }
+            };
+            let written = own[word.loc.col as usize];
+            cache.written.push(written);
             for cell in &word.cells {
-                let logical = word.loc.col * 64 + cell.bit as u32;
-                let value = self.contents.read_bit(row, logical);
-                let phys = self.topology.physical_bit(row, logical);
-                let kind = self.topology.kind_at_physical(phys);
-                let charged = kind.charged(value);
+                let probe = cells.next().expect("one probe per weak cell");
+                let true_cell = probe.has(TRUE_CELL);
+                let charged = ((written >> cell.bit) & 1 == 1) == true_cell;
                 let interference = if charged {
                     let mut intra = 0u32;
-                    let (left, right) = self.topology.physical_neighbours(phys);
-                    for np in [left, right].into_iter().flatten() {
-                        if self.physical_cell_charged(row, np) {
+                    for (has, bit, is_true) in [
+                        (HAS_LEFT, probe.left, LEFT_TRUE),
+                        (HAS_RIGHT, probe.right, RIGHT_TRUE),
+                    ] {
+                        if probe.has(has) && row_bit(own, bit) == probe.has(is_true) {
                             intra += 1;
                         }
                     }
@@ -604,6 +771,55 @@ impl Dimm {
                     // worst-word fill charges everything and gets none of
                     // this — which is exactly why the per-row 24 KB patterns
                     // can beat it, Fig. 9.)
+                    let mut inter = 0u32;
+                    for (has, words, bit) in [
+                        (HAS_ABOVE, above, probe.above),
+                        (HAS_BELOW, below, probe.below),
+                    ] {
+                        if probe.has(has) && row_bit(words, bit) != true_cell {
+                            inter += 1;
+                        }
+                    }
+                    1.0 + physics.intra_row_coupling * intra as f64
+                        + physics.inter_row_coupling * inter as f64
+                } else {
+                    1.0
+                };
+                cache.charged.push(charged);
+                cache.interference.push(interference);
+            }
+        }
+        self.cache = cache;
+        self.cache_generation = Some(generation);
+    }
+
+    /// The per-bit walk the gathered refresh replaces, kept as its oracle:
+    /// every cell maps its bits through the topology and reads them one
+    /// by one from the row store. Returns `(charged, interference)` in
+    /// population order.
+    #[cfg(test)]
+    fn cell_state_reference(&self) -> (Vec<bool>, Vec<f64>) {
+        let physics = self.config.physics;
+        let geometry = self.config.geometry;
+        let topology = &self.device.topology;
+        let mut charged_cells = Vec::new();
+        let mut interference_cells = Vec::new();
+        for word in self.device.population.words() {
+            let row = word.loc.row_key();
+            for cell in &word.cells {
+                let logical = word.loc.col * 64 + cell.bit as u32;
+                let value = self.contents.read_bit(row, logical);
+                let phys = topology.physical_bit(row, logical);
+                let kind = topology.kind_at_physical(phys);
+                let charged = kind.charged(value);
+                let interference = if charged {
+                    let mut intra = 0u32;
+                    let (left, right) = topology.physical_neighbours(phys);
+                    for np in [left, right].into_iter().flatten() {
+                        if self.physical_cell_charged(row, np) {
+                            intra += 1;
+                        }
+                    }
                     let mut inter = 0u32;
                     for adj in [row.row.checked_sub(1), row.row.checked_add(1)]
                         .into_iter()
@@ -620,21 +836,21 @@ impl Dimm {
                 } else {
                     1.0
                 };
-                cache.charged.push(charged);
-                cache.interference.push(interference);
+                charged_cells.push(charged);
+                interference_cells.push(interference);
             }
         }
-        cache.offsets.push(cache.charged.len() as u32);
-        self.cache = cache;
-        self.cache_generation = Some(self.contents.generation());
+        (charged_cells, interference_cells)
     }
 
     /// Whether the cell at a *physical* bitline position of a row is
     /// charged, given current contents.
+    #[cfg(test)]
     fn physical_cell_charged(&self, row: RowKey, phys: u32) -> bool {
-        let logical = self.topology.logical_bit(row, phys);
+        let topology = &self.device.topology;
+        let logical = topology.logical_bit(row, phys);
         let value = self.contents.read_bit(row, logical);
-        self.topology.kind_at_physical(phys).charged(value)
+        topology.kind_at_physical(phys).charged(value)
     }
 }
 
@@ -649,6 +865,7 @@ fn plan_index(what: &'static str, value: usize) -> Result<u32, PlanError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::HashMap;
 
     /// The worst-case word under the TTAA layout: LSB-first bit string
@@ -987,6 +1204,147 @@ mod tests {
                 assert_eq!(got, d.read_word(loc), "column {}", from + i as u32);
             }
         }
+    }
+
+    /// Refreshes the cell cache and checks it against the per-bit oracle,
+    /// comparing interference multipliers bit for bit.
+    fn assert_cache_matches_reference(d: &mut Dimm) -> Result<(), TestCaseError> {
+        d.refresh_cache_if_stale();
+        let (charged, interference) = d.cell_state_reference();
+        prop_assert_eq!(&d.cache.charged, &charged);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&d.cache.interference), bits(&interference));
+        Ok(())
+    }
+
+    /// Device seeds of the cell-state oracle test.
+    const ORACLE_SEEDS: [u64; 4] = [1, 7, 42, 0xD5_7E55];
+
+    #[test]
+    fn oracle_seeds_cover_scrambled_rows_and_remapped_columns() {
+        for seed in ORACLE_SEEDS {
+            let d = dimm(seed);
+            let topo = d.topology();
+            let (mut scrambled, mut remapped) = (0, 0);
+            for word in d.population().words() {
+                let row = word.loc.row_key();
+                scrambled += usize::from(topo.is_scrambled(row));
+                let phys = topo.physical_bit(row, word.loc.col * 64);
+                remapped += usize::from((phys / 64) != word.loc.col);
+            }
+            assert!(
+                scrambled > 0,
+                "seed {seed}: no weak cell in a scrambled row"
+            );
+            assert!(
+                remapped > 0,
+                "seed {seed}: no weak cell in a remapped column"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn gathered_cell_state_matches_reference_walk(
+            seed in 0usize..ORACLE_SEEDS.len(),
+            sparse in any::<bool>(),
+            default_fill in prop_oneof![Just(0u64), Just(WORST), any::<u64>()],
+            writes in proptest::collection::vec(
+                (
+                    any::<usize>(),
+                    -1i32..=1,
+                    prop_oneof![Just(0u32), Just(63), 0u32..64],
+                    any::<u64>(),
+                ),
+                0..200,
+            ),
+        ) {
+            // A sparse population leaves rows without weak cells, so the
+            // gather also restarts its row window mid-bank.
+            let weak = if sparse {
+                WeakCellConfig { singles_per_rank: 60, pairs_per_rank: 6, ..WeakCellConfig::default() }
+            } else {
+                WeakCellConfig::default()
+            };
+            let config = DimmConfig { default_fill, weak, ..DimmConfig::default() };
+            let mut d = Dimm::new(config, ORACLE_SEEDS[seed]);
+            assert_cache_matches_reference(&mut d)?;
+            // Writes land on weak words or their neighbour rows, with the
+            // inverted value at an edge or random row of the same column.
+            let rows = d.geometry().rows_per_bank;
+            let words: Vec<Location> = d.population().words().iter().map(|w| w.loc).collect();
+            for &(pick, offset, other_row, value) in &writes {
+                let loc = words[pick % words.len()];
+                let row = loc.row.saturating_add_signed(offset).min(rows - 1);
+                d.write_word(Location::new(loc.rank, loc.bank, row, loc.col), value);
+                d.write_word(Location::new(loc.rank, loc.bank, other_row, loc.col), !value);
+            }
+            assert_cache_matches_reference(&mut d)?;
+            d.clear_contents();
+            assert_cache_matches_reference(&mut d)?;
+        }
+    }
+
+    #[test]
+    fn clone_shares_the_hidden_device_and_builds_an_identical_cache() {
+        let mut original = dimm(37);
+        fill_all(&mut original, WORST);
+        original.write_word(Location::new(0, 1, 0, 5), BEST);
+        let mut clone = original.clone();
+        assert!(std::ptr::eq(original.population(), clone.population()));
+        assert!(std::ptr::eq(original.topology(), clone.topology()));
+        original.refresh_cache_if_stale();
+        clone.refresh_cache_if_stale();
+        // The probe table the original built is the one the clone used.
+        assert!(std::ptr::eq(
+            original.device.probes(),
+            clone.device.probes()
+        ));
+        assert_eq!(clone.cache, original.cache);
+    }
+
+    #[test]
+    fn tabulated_decay_matches_per_pair_evaluation() {
+        let d = dimm(41);
+        let geo = d.geometry();
+        let mut acts = ActivationCounts::new();
+        for (i, row) in [0u32, 1, 5, 31, 62, 63, 64, 900].into_iter().enumerate() {
+            acts.add(RowKey::new(0, 2, row), 1000 + 977 * i as u64);
+            acts.add(RowKey::new(1, 7, row), 50_000 / (i as u64 + 1));
+        }
+        let model = d.config().disturbance;
+        let expected: Vec<f64> = d
+            .population()
+            .words()
+            .iter()
+            .map(|word| {
+                let victim = word.loc.row_key();
+                let mut aggressors: Vec<(u32, u64)> = acts
+                    .iter()
+                    .filter(|(r, _)| (r.rank, r.bank) == (victim.rank, victim.bank))
+                    .map(|(r, count)| (r.row, count))
+                    .collect();
+                aggressors.sort_unstable();
+                let mut hammer = 0.0;
+                for (aggressor, count) in aggressors {
+                    if aggressor != victim.row {
+                        let distance = (aggressor as f64 - victim.row as f64).abs();
+                        hammer += count as f64 * (-distance / model.decay_rows).exp();
+                    }
+                }
+                model.factor_from_hammer(hammer)
+            })
+            .collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let profile = d.disturbance_profile(&acts);
+        assert_eq!(bits(&profile), bits(&expected));
+        assert!(profile.iter().any(|&f| f > 0.0));
+        assert!(
+            geo.rows_per_bank < 900,
+            "row 900 exercises the untabulated distances"
+        );
     }
 
     #[test]

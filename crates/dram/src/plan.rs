@@ -113,7 +113,8 @@ pub(crate) struct VrtWord {
 /// Build with [`crate::Dimm::prepare_run`], evaluate windows with
 /// [`crate::Dimm::advance_window_planned`]. The plan is tied to the
 /// contents generation it was built against; writing to the DIMM
-/// invalidates it (enforced by an assertion at evaluation time).
+/// invalidates it, and evaluating it afterwards returns
+/// [`PlanError::Stale`].
 #[derive(Debug, Clone)]
 pub struct RunPlan {
     /// Contents generation the plan was built against.

@@ -110,7 +110,8 @@ impl WeakCellPopulation {
     /// `seed` — the same seed always reproduces the same DIMM.
     pub fn sample(geometry: DimmGeometry, config: &WeakCellConfig, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ 0x0BAD_CE11_5EED));
-        let mut by_word: HashMap<Location, Vec<WeakCell>> = HashMap::new();
+        // Placed cells in placement order; grouped into words at the end.
+        let mut placed: Vec<(Location, WeakCell)> = Vec::new();
         let mut occupied: HashMap<Location, u64> = HashMap::new();
         let mut vrt_index = 0u32;
 
@@ -119,7 +120,7 @@ impl WeakCellPopulation {
         // temperature onset); a pair's second bit is forced into its
         // sibling's word.
         let place = |rng: &mut StdRng,
-                     by_word: &mut HashMap<Location, Vec<WeakCell>>,
+                     placed: &mut Vec<(Location, WeakCell)>,
                      occupied: &mut HashMap<Location, u64>,
                      rank: u8,
                      cell: WeakCell,
@@ -144,7 +145,7 @@ impl WeakCellPopulation {
                 };
                 if ok {
                     *mask |= 1u64 << cell.bit;
-                    by_word.entry(loc).or_default().push(cell);
+                    placed.push((loc, cell));
                     return Some(loc);
                 }
                 if forced_loc.is_some() {
@@ -167,7 +168,7 @@ impl WeakCellPopulation {
                     vrt_index,
                 };
                 vrt_index += 1;
-                place(&mut rng, &mut by_word, &mut occupied, rank, cell, None);
+                place(&mut rng, &mut placed, &mut occupied, rank, cell, None);
             }
             // Clustered SDC-prone triples: three bits of one word with
             // correlated retention (opt-in; see `triples_per_rank`).
@@ -187,10 +188,10 @@ impl WeakCellPopulation {
                     vrt_index += 1;
                     match anchor {
                         None => {
-                            anchor = place(&mut rng, &mut by_word, &mut occupied, rank, cell, None);
+                            anchor = place(&mut rng, &mut placed, &mut occupied, rank, cell, None);
                         }
                         Some(loc) => {
-                            place(&mut rng, &mut by_word, &mut occupied, rank, cell, Some(loc));
+                            place(&mut rng, &mut placed, &mut occupied, rank, cell, Some(loc));
                         }
                     }
                 }
@@ -217,11 +218,10 @@ impl WeakCellPopulation {
                     vrt_index,
                 };
                 vrt_index += 1;
-                if let Some(loc) = place(&mut rng, &mut by_word, &mut occupied, rank, cell_a, None)
-                {
+                if let Some(loc) = place(&mut rng, &mut placed, &mut occupied, rank, cell_a, None) {
                     place(
                         &mut rng,
-                        &mut by_word,
+                        &mut placed,
                         &mut occupied,
                         rank,
                         cell_b,
@@ -231,11 +231,18 @@ impl WeakCellPopulation {
             }
         }
 
-        let mut words: Vec<WeakWord> = by_word
-            .into_iter()
-            .map(|(loc, cells)| WeakWord { loc, cells })
+        // A stable sort keeps each word's cells in placement order. Each
+        // word's cell list is allocated once, in location order, so the
+        // per-cell loops (refresh, plan build, reference window) walk the
+        // heap forward.
+        placed.sort_by_key(|&(loc, _)| loc);
+        let words: Vec<WeakWord> = placed
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| WeakWord {
+                loc: run[0].0,
+                cells: run.iter().map(|&(_, cell)| cell).collect(),
+            })
             .collect();
-        words.sort_by_key(|w| w.loc);
         let total_cells = words.iter().map(|w| w.cells.len()).sum();
         WeakCellPopulation { words, total_cells }
     }

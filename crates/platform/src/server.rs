@@ -68,11 +68,19 @@ struct McuPlan {
 /// generation counter, the disturbance by the activation profile it derives
 /// from — plus the prepared plan. The stored `acts` are compared for exact
 /// equality on lookup, so a hit is collision-free by construction.
+///
+/// The entry can also keep the disturbance profile the plan was built
+/// from. The profile depends on the activation counts alone, so a
+/// plan-cache miss whose `acts` equal an entry's (a candidate replaying the
+/// same trace over new contents) reuses it instead of recomputing it. It is
+/// kept only once its `acts` have repeated: a workload whose traces never
+/// repeat then holds no profiles.
 #[derive(Debug, Clone)]
 struct CachedPlan {
     generation: u64,
     env: EnvKey,
     acts: ActivationCounts,
+    disturbance: Option<Arc<Vec<f64>>>,
     prepared: Arc<McuPlan>,
 }
 
@@ -579,7 +587,15 @@ impl XGene2Server {
                 plans.push(Arc::clone(&hit.prepared));
                 continue;
             }
-            let prepared = Arc::new(self.build_mcu_plan(mcu, &profile)?);
+            let unit = &self.mcus[mcu];
+            // The newest entry with these counts holds the kept profile, if any.
+            let same_acts = unit.plan_cache.iter().rev().find(|c| &c.acts == acts);
+            let repeated = same_acts.is_some();
+            let disturbance = match same_acts.and_then(|c| c.disturbance.clone()) {
+                Some(kept) => kept,
+                None => Arc::new(unit.dimm.disturbance_profile(acts)),
+            };
+            let prepared = Arc::new(self.build_mcu_plan(mcu, &disturbance)?);
             let cache = &mut self.mcus[mcu].plan_cache;
             if cache.len() >= PLAN_CACHE_CAP {
                 cache.pop_front();
@@ -588,6 +604,7 @@ impl XGene2Server {
                 generation,
                 env,
                 acts: acts.clone(),
+                disturbance: repeated.then_some(disturbance),
                 prepared: Arc::clone(&prepared),
             });
             plans.push(prepared);
@@ -607,21 +624,17 @@ impl XGene2Server {
         let profile = self.build_profile(run);
         let mut plans = Vec::with_capacity(MCUS);
         for mcu in 0..MCUS {
-            plans.push(Arc::new(self.build_mcu_plan(mcu, &profile)?));
+            let disturbance = self.mcus[mcu]
+                .dimm
+                .disturbance_profile(&profile.acts_per_window[mcu]);
+            plans.push(Arc::new(self.build_mcu_plan(mcu, &disturbance)?));
         }
         Ok(PreparedRun { plans })
     }
 
-    fn build_mcu_plan(
-        &mut self,
-        mcu: usize,
-        profile: &ReplayProfile,
-    ) -> Result<McuPlan, PlanError> {
+    fn build_mcu_plan(&mut self, mcu: usize, disturbance: &[f64]) -> Result<McuPlan, PlanError> {
         let env = self.operating_env(mcu);
-        let disturbance = self.mcus[mcu]
-            .dimm
-            .disturbance_profile(&profile.acts_per_window[mcu]);
-        let plan = self.mcus[mcu].dimm.prepare_run(&env, &disturbance)?;
+        let plan = self.mcus[mcu].dimm.prepare_run(&env, disturbance)?;
         let statics = StaticSummary::build(plan.static_events());
         Ok(McuPlan { plan, statics })
     }
@@ -1266,6 +1279,72 @@ mod tests {
             "cache hits must be bit-identical to rebuilds"
         );
         assert_eq!(sv.counters(), cold.counters());
+    }
+
+    #[test]
+    fn plan_cache_miss_with_repeated_trace_reuses_the_disturbance_profile() {
+        let mut sv = server();
+        sv.relax_second_domain();
+        sv.set_dimm_temperature(2, 60.0).unwrap();
+        // New contents, same trace, three times: plan-cache misses on the
+        // target MCU whose activation counts repeat.
+        let mut runs = Vec::new();
+        for word in [WORST, !WORST, 0x0F0F_0F0F_0F0F_0F0F] {
+            let run = fill_run(&mut sv, 2, word);
+            let _ = sv.prepare_run(&run).unwrap();
+            runs.push(run);
+        }
+        assert!(
+            runs.windows(2).all(|w| w[0] == w[1]),
+            "fills record one trace"
+        );
+        let cache = &sv.mcus[2].plan_cache;
+        let kept: Vec<_> = cache
+            .iter()
+            .rev()
+            .take(3)
+            .rev()
+            .map(|c| &c.disturbance)
+            .collect();
+        assert!(kept[0].is_none(), "a first sighting keeps no profile");
+        let (second, third) = (kept[1].as_ref().unwrap(), kept[2].as_ref().unwrap());
+        assert!(
+            Arc::ptr_eq(second, third),
+            "the third build reuses the second's profile"
+        );
+        let reused = sv.prepare_run(&runs[2]).unwrap();
+        let rebuilt = sv.prepare_run_uncached(&runs[2]).unwrap();
+        assert_eq!(
+            sv.evaluate_prepared_runs(&reused, 3, 4).unwrap(),
+            sv.evaluate_prepared_runs(&rebuilt, 3, 4).unwrap()
+        );
+    }
+
+    #[test]
+    fn plan_cache_keeps_no_profile_for_traces_that_never_repeat() {
+        let mut sv = server();
+        sv.set_dimm_temperature(2, 60.0).unwrap();
+        for passes in 1..=3u64 {
+            sv.reset_memory();
+            let mut s = sv.session(2);
+            let base = s.alloc(64 * 1024).expect("allocation fits");
+            for _ in 0..passes {
+                for w in 0..8192u64 {
+                    s.read_u64(base + w * 8).expect("read in range");
+                }
+            }
+            let run = s.finish();
+            let _ = sv.prepare_run(&run).unwrap();
+        }
+        let acts: Vec<_> = sv.mcus[2].plan_cache.iter().map(|c| &c.acts).collect();
+        assert!(
+            acts.windows(2).all(|w| w[0] != w[1]),
+            "each trace activates differently"
+        );
+        assert!(sv.mcus[2]
+            .plan_cache
+            .iter()
+            .all(|c| c.disturbance.is_none()));
     }
 
     #[test]

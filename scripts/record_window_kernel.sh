@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Runs the window_kernel benchmark (prepared run-plan kernel vs the
-# reference per-cell loop) and records the medians plus the speedup ratios
-# to BENCH_window_kernel.json. The vendored criterion stub prints lines of
-# the form:
+# reference per-cell loop, plus the cold plan build) and records the
+# medians plus the speedup ratios to BENCH_window_kernel.json. The vendored
+# criterion stub prints lines of the form:
 #   name: median 1.23 us mean 1.25 us (20 samples x 813 iters)
+# Exits non-zero, writing nothing, when any expected row is missing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,12 +24,17 @@ for line in sys.stdin:
     if m:
         medians[m.group(1)] = float(m.group(2)) * UNITS[m.group(3)]
 
+EXPECTED = (\"window/reference\", \"window/planned\", \"run/reference\",
+            \"run/prepared\", \"plan/cold\")
+missing = [name for name in EXPECTED if name not in medians]
+if missing:
+    sys.exit(\"missing bench rows: \" + \", \".join(missing))
+
 report = {\"median_ns\": medians, \"speedup\": {}}
 for scope, fast_name in ((\"window\", \"planned\"), (\"run\", \"prepared\")):
-    ref = medians.get(scope + \"/reference\")
-    fast = medians.get(scope + \"/\" + fast_name)
-    if ref and fast:
-        report[\"speedup\"][scope] = round(ref / fast, 2)
+    ref = medians[scope + \"/reference\"]
+    fast = medians[scope + \"/\" + fast_name]
+    report[\"speedup\"][scope] = round(ref / fast, 2)
 
 with open(sys.argv[1], \"w\") as f:
     json.dump(report, f, indent=2)
