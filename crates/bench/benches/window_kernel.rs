@@ -1,13 +1,16 @@
 //! Prepared run-plan kernel vs the reference per-cell retention loop.
 //!
 //! `window/…` compares one refresh window at the DIMM layer over the full
-//! default weak-cell population; `run/…` compares a complete multi-window
-//! evaluation at the server layer. The prepared path re-examines only the
-//! VRT-contingent cells each window (everything else is pre-partitioned
-//! into static events at `prepare_run` time), so it must win by a wide
-//! margin — the PR's acceptance bar is 5×. `plan/cold` times one plan build
-//! after a write, cell-state refresh included, on a fully written DIMM: the
-//! target-MCU plan build of a candidate evaluation.
+//! default weak-cell population; `run/reference` and `run/prepared` compare
+//! one complete multi-window evaluation at the server layer. The prepared
+//! path re-examines only the VRT-contingent cells each window (everything
+//! else is pre-partitioned into static events at `prepare_run` time), so it
+//! must win by a wide margin: the acceptance bar is 5×. `run/batched`
+//! evaluates the ten repeat runs of one fitness call together through the
+//! lane kernel, the path campaigns take (perfbench's
+//! `dram.window_kernel_us` times the same call). `plan/cold` times one plan
+//! build after a write, cell-state refresh included, on a fully written
+//! DIMM: the target-MCU plan build of a candidate evaluation.
 //! `scripts/record_window_kernel.sh` records every row to
 //! `BENCH_window_kernel.json`.
 
@@ -111,6 +114,19 @@ fn bench(c: &mut Criterion) {
                     .evaluate_prepared(&prepared, nonce)
                     .expect("fresh")
                     .totals,
+            )
+        })
+    });
+    // The path campaigns take: the ten repeat runs of one fitness call
+    // advance together through the lane kernel.
+    c.bench_function("run/batched", |b| {
+        b.iter(|| {
+            nonce += 10;
+            std::hint::black_box(
+                server
+                    .evaluate_prepared_runs(&prepared, 10, nonce)
+                    .expect("fresh")
+                    .len(),
             )
         })
     });

@@ -660,24 +660,26 @@ impl Dimm {
     }
 
     /// Evaluates one refresh window of a prepared plan for up to
-    /// [`crate::plan::MAX_LANES`] evaluation lanes at once, emitting only
-    /// each lane's VRT-word events (see
-    /// [`RunPlan::advance_window_vrt_lanes`]). Lane `l` runs with window
-    /// nonce `nonces[l]` and only while bit `l` of `live` is set.
+    /// [`crate::plan::MAX_LANES`] evaluation lanes at once, reporting which
+    /// VRT-contingent bits flipped in which lane: bit `l` of `out[i]` is set
+    /// iff contingent bit `i` flips in lane `l` (a VRT word's bits are
+    /// [`crate::plan::VrtWordView::bits`]). Lane `l` runs with window nonce
+    /// `nonces[l]` and only while bit `l` of `live` is set. Static events
+    /// are not reported: they are the same in every window.
     ///
     /// # Errors
     ///
     /// Returns [`PlanError::Stale`] if contents changed since the plan was
     /// built.
-    pub fn advance_window_planned_lanes(
+    pub fn advance_window_planned_subsets(
         &self,
         plan: &RunPlan,
         nonces: &[u64],
         live: u64,
-        out: &mut [Vec<WordEvent>],
+        out: &mut Vec<u64>,
     ) -> Result<(), PlanError> {
         self.ensure_plan_fresh(plan)?;
-        plan.advance_window_vrt_lanes(self.seed, nonces, live, out);
+        plan.advance_window_vrt_subsets(self.seed, nonces, live, out);
         Ok(())
     }
 
@@ -865,6 +867,7 @@ fn plan_index(what: &'static str, value: usize) -> Result<u32, PlanError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::PlanWord;
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -1085,29 +1088,81 @@ mod tests {
         let profile = d.disturbance_profile(&acts);
         let plan = d.prepare_run(&env, &profile).unwrap();
         assert!(plan.vrt_words() > 0, "need VRT-contingent words");
+        let vrt_words: Vec<_> = plan
+            .words()
+            .filter_map(|w| match w {
+                PlanWord::Vrt(view) => Some(view),
+                PlanWord::Static(_) => None,
+            })
+            .collect();
+        assert_eq!(vrt_words.len(), plan.vrt_words());
         // 7 lanes with irregular nonces and a hole in the live mask.
         let nonces: Vec<u64> = (0..7u64).map(|l| l.wrapping_mul(0x9E37_79B9) ^ 5).collect();
         let live = 0b110_1011u64;
-        let mut lanes: Vec<Vec<WordEvent>> = vec![Vec::new(); nonces.len()];
-        d.advance_window_planned_lanes(&plan, &nonces, live, &mut lanes)
+        let mut flips = vec![u64::MAX; 3];
+        d.advance_window_planned_subsets(&plan, &nonces, live, &mut flips)
             .unwrap();
+        assert_eq!(flips.len(), plan.vrt_cells());
+        assert!(
+            flips.iter().all(|&lanes| lanes & !live == 0),
+            "dead lanes never flip"
+        );
         let mut full = Vec::new();
+        let mut flipped_any = false;
         for (l, &nonce) in nonces.iter().enumerate() {
             if live & (1 << l) == 0 {
-                assert!(lanes[l].is_empty(), "dead lane {l} must stay empty");
                 continue;
             }
+            // Rebuild lane l's VRT-word events from its flip subsets.
+            let rebuilt: Vec<WordEvent> = vrt_words
+                .iter()
+                .filter_map(|w| {
+                    let mut mask = w.base_mask;
+                    for (&bit_mask, &lanes) in w.contingent.iter().zip(&flips[w.bits.clone()]) {
+                        if lanes & (1 << l) != 0 {
+                            mask |= bit_mask;
+                            flipped_any = true;
+                        }
+                    }
+                    (mask != 0).then_some(WordEvent {
+                        loc: w.loc,
+                        written: w.written,
+                        flip_mask: mask,
+                    })
+                })
+                .collect();
+            // The VRT-word events are the full event stream minus the
+            // static ones.
             d.advance_window_planned(&plan, nonce, &mut full).unwrap();
-            // The lane kernel omits static events; the VRT-word events are
-            // exactly the full event stream minus the static ones.
-            let statics = plan.static_events();
             let vrt_only: Vec<WordEvent> = full
                 .iter()
-                .filter(|e| !statics.contains(e))
+                .filter(|e| vrt_words.iter().any(|w| w.loc == e.loc))
                 .copied()
                 .collect();
-            assert_eq!(lanes[l], vrt_only, "lane {l}");
+            assert_eq!(rebuilt, vrt_only, "lane {l}");
         }
+        assert!(flipped_any, "some contingent bit must flip in some lane");
+    }
+
+    #[test]
+    fn plan_words_interleave_in_population_order() {
+        let env = OperatingEnv::relaxed(62.0);
+        let mut d = dimm(23);
+        fill_all(&mut d, WORST);
+        let profile = d.disturbance_profile(&ActivationCounts::new());
+        let plan = d.prepare_run(&env, &profile).unwrap();
+        let words: Vec<_> = plan.words().collect();
+        assert_eq!(words.len(), plan.static_words() + plan.vrt_words());
+        assert!(words.windows(2).all(|w| w[0].loc() < w[1].loc()));
+        let mut next_bit = 0;
+        for word in &words {
+            if let PlanWord::Vrt(view) = word {
+                assert_eq!(view.bits.start, next_bit, "contingent bits are contiguous");
+                assert_eq!(view.contingent.len(), view.bits.len());
+                next_bit = view.bits.end;
+            }
+        }
+        assert_eq!(next_bit, plan.vrt_cells());
     }
 
     #[test]
@@ -1143,9 +1198,9 @@ mod tests {
         assert_eq!(err, PlanError::Stale { built, current });
         assert!(err.to_string().contains("stale RunPlan"), "{err}");
         // The lane path enforces the same freshness contract.
-        let mut lanes = vec![Vec::new()];
+        let mut flips = Vec::new();
         let err = d
-            .advance_window_planned_lanes(&plan, &[0], 1, &mut lanes)
+            .advance_window_planned_subsets(&plan, &[0], 1, &mut flips)
             .unwrap_err();
         assert_eq!(err, PlanError::Stale { built, current });
     }

@@ -34,6 +34,7 @@
 use crate::events::WordEvent;
 use crate::geometry::Location;
 use crate::weak::vrt_degraded;
+use std::ops::Range;
 
 /// Errors from building or evaluating a [`RunPlan`].
 ///
@@ -54,11 +55,12 @@ pub enum PlanError {
         /// Current contents generation of the DIMM.
         current: u64,
     },
-    /// A flat-array index in the plan under construction does not fit the
-    /// plan's `u32` index width (a weak-cell population beyond 2^32 cells).
+    /// An index does not fit the plan layout: a flat-array index beyond the
+    /// plan's `u32` width (a weak-cell population beyond 2^32 cells), or a
+    /// VRT word with more contingent bits than a per-word kind table serves.
     IndexOverflow {
         /// Which counter overflowed (`"bits_start"`, `"bits_end"`,
-        /// `"statics_before"`).
+        /// `"statics_before"`, `"contingent_bits"`, …).
         what: &'static str,
         /// The value that did not fit.
         value: usize,
@@ -75,8 +77,7 @@ impl std::fmt::Display for PlanError {
             ),
             PlanError::IndexOverflow { what, value } => write!(
                 f,
-                "run plan index overflow: {what} = {value} does not fit u32 \
-                 (weak-cell population too large for the plan layout)"
+                "run plan index overflow: {what} = {value} does not fit the plan layout"
             ),
         }
     }
@@ -84,8 +85,9 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// Maximum number of evaluation lanes one [`RunPlan::advance_window_vrt_lanes`]
-/// call can serve: one bit of a `u64` lane mask per candidate-run.
+/// Maximum number of evaluation lanes one
+/// [`crate::Dimm::advance_window_planned_subsets`] call can serve: one bit
+/// of a `u64` lane mask per candidate-run.
 pub const MAX_LANES: usize = 64;
 
 /// One weak word with at least one VRT-contingent cell: its static base
@@ -189,100 +191,144 @@ impl RunPlan {
         out.extend_from_slice(&self.static_events[emitted..]);
     }
 
-    /// The pre-built (window-invariant) word events, in population order.
-    ///
-    /// Batched callers classify these once per plan instead of once per
-    /// `(run, window)` — they are byte-identical every window by
-    /// construction.
-    pub fn static_events(&self) -> &[WordEvent] {
-        &self.static_events
+    /// The plan's words in population order: each pre-built static event
+    /// and each VRT word, interleaved exactly as [`RunPlan::advance_window`]
+    /// emits them. Batched callers resolve their ECC accounting from this
+    /// walk once per plan instead of once per `(run, window)`.
+    pub fn words(&self) -> PlanWords<'_> {
+        PlanWords {
+            plan: self,
+            next_static: 0,
+            next_vrt: 0,
+            statics_since_vrt: 0,
+        }
     }
 
     /// Evaluates one refresh window for up to [`MAX_LANES`] evaluation
-    /// lanes at once, emitting **only the VRT-word events** of lane `l`
-    /// into `out[l]` (cleared first). Static events are invariant across
-    /// lanes and windows; batched callers account for them through a
-    /// precomputed summary of [`RunPlan::static_events`] instead of
-    /// re-materializing them per lane.
+    /// lanes at once, reporting which VRT-contingent bits flipped in which
+    /// lane: `out[i]` (resized to [`RunPlan::vrt_cells`]) has bit `l` set
+    /// iff contingent bit `i` flips in lane `l`. A VRT word's flip subset in
+    /// lane `l` is lane `l`'s column of `out[word.bits]` (see
+    /// [`VrtWordView::bits`]); its flip mask is the word's base mask OR'd
+    /// with the masks of that subset. Static events are invariant across
+    /// lanes and windows and are not reported.
     ///
     /// `nonces[l]` is lane `l`'s window nonce; a lane is evaluated only
     /// when bit `l` of `live` is set (dead lanes — runs already stopped on
-    /// an uncorrectable error — keep an empty buffer). The cell loop is
-    /// outer and the lane loop inner: each VRT-contingent cell's Bernoulli
-    /// draws for all live lanes are packed into one `u64` lane mask, then
-    /// scattered into per-lane flip masks, so one pass over the flat SoA
-    /// serves the whole batch.
-    ///
-    /// Per lane, the emitted events are bit-identical to the VRT-word
-    /// subsequence of [`RunPlan::advance_window`] with the same nonce: the
-    /// same `vrt_degraded` draws in the same per-word order.
+    /// an uncorrectable error — read as "nothing flipped"). The draws are
+    /// the same `vrt_degraded` calls in the same per-cell order as
+    /// [`RunPlan::advance_window`] makes for each lane's nonce.
     ///
     /// # Panics
     ///
-    /// Panics if more than [`MAX_LANES`] lanes are requested or the buffer
-    /// count does not match the nonce count.
-    pub fn advance_window_vrt_lanes(
+    /// Panics if more than [`MAX_LANES`] lanes are requested.
+    pub(crate) fn advance_window_vrt_subsets(
         &self,
         seed: u64,
         nonces: &[u64],
         live: u64,
-        out: &mut [Vec<WordEvent>],
+        out: &mut Vec<u64>,
     ) {
         assert!(nonces.len() <= MAX_LANES, "at most {MAX_LANES} lanes");
-        assert_eq!(nonces.len(), out.len(), "one event buffer per lane");
-        for buf in out.iter_mut() {
-            buf.clear();
-        }
         let live = if nonces.len() == MAX_LANES {
             live
         } else {
             live & ((1u64 << nonces.len()) - 1)
         };
-        if live == 0 {
-            return;
-        }
-        let mut lane_masks = [0u64; MAX_LANES];
-        for word in &self.vrt_words {
-            let mut lanes = live;
-            while lanes != 0 {
-                let lane = lanes.trailing_zeros() as usize;
-                lanes &= lanes - 1;
-                lane_masks[lane] = word.base_mask;
-            }
-            for i in word.bits_start as usize..word.bits_end as usize {
-                let index = self.bit_indices[i];
-                let flip_when_degraded = self.bit_flip_when_degraded[i];
-                // One u64 of Bernoulli outcomes across the batch: bit `l`
-                // set iff lane `l`'s draw flips this cell.
-                let mut flipping = 0u64;
-                let mut lanes = live;
-                while lanes != 0 {
-                    let lane = lanes.trailing_zeros() as usize;
-                    lanes &= lanes - 1;
-                    if vrt_degraded(seed, nonces[lane], index, self.vrt_degraded_prob)
-                        == flip_when_degraded
-                    {
-                        flipping |= 1u64 << lane;
+        out.clear();
+        out.extend(
+            self.bit_indices
+                .iter()
+                .zip(&self.bit_flip_when_degraded)
+                .map(|(&index, &flip_when_degraded)| {
+                    // One u64 of Bernoulli outcomes across the batch: bit
+                    // `l` set iff lane `l`'s draw flips this cell.
+                    let mut flipping = 0u64;
+                    let mut lanes = live;
+                    while lanes != 0 {
+                        let lane = lanes.trailing_zeros() as usize;
+                        lanes &= lanes - 1;
+                        if vrt_degraded(seed, nonces[lane], index, self.vrt_degraded_prob)
+                            == flip_when_degraded
+                        {
+                            flipping |= 1u64 << lane;
+                        }
                     }
-                }
-                let mask = self.bit_masks[i];
-                while flipping != 0 {
-                    let lane = flipping.trailing_zeros() as usize;
-                    flipping &= flipping - 1;
-                    lane_masks[lane] |= mask;
-                }
+                    flipping
+                }),
+        );
+    }
+}
+
+/// One word of a [`RunPlan`], as yielded by [`RunPlan::words`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PlanWord<'a> {
+    /// A word whose flip mask is the same in every window.
+    Static(&'a WordEvent),
+    /// A word with at least one VRT-contingent bit.
+    Vrt(VrtWordView<'a>),
+}
+
+impl PlanWord<'_> {
+    /// The word's location.
+    pub fn loc(&self) -> Location {
+        match self {
+            PlanWord::Static(event) => event.loc,
+            PlanWord::Vrt(word) => word.loc,
+        }
+    }
+}
+
+/// A VRT word of a [`RunPlan`]: its window-invariant part and its
+/// VRT-contingent bits.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VrtWordView<'a> {
+    /// The word's location.
+    pub loc: Location,
+    /// Contents of the word, captured at plan-build time.
+    pub written: u64,
+    /// Flip mask of the word's statically-failing cells.
+    pub base_mask: u64,
+    /// Flip masks (`1 << bit`) of the word's contingent bits, in plan order.
+    pub contingent: &'a [u64],
+    /// Where the contingent bits sit in the output of the lane kernel
+    /// ([`crate::Dimm::advance_window_planned_subsets`]).
+    pub bits: Range<usize>,
+}
+
+/// Iterator over a [`RunPlan`]'s words in population order; see
+/// [`RunPlan::words`].
+#[derive(Debug, Clone)]
+pub struct PlanWords<'a> {
+    plan: &'a RunPlan,
+    next_static: usize,
+    next_vrt: usize,
+    statics_since_vrt: usize,
+}
+
+impl<'a> Iterator for PlanWords<'a> {
+    type Item = PlanWord<'a>;
+
+    fn next(&mut self) -> Option<PlanWord<'a>> {
+        let plan = self.plan;
+        match plan.vrt_words.get(self.next_vrt) {
+            Some(word) if self.statics_since_vrt == word.statics_before as usize => {
+                self.next_vrt += 1;
+                self.statics_since_vrt = 0;
+                let bits = word.bits_start as usize..word.bits_end as usize;
+                Some(PlanWord::Vrt(VrtWordView {
+                    loc: word.loc,
+                    written: word.written,
+                    base_mask: word.base_mask,
+                    contingent: &plan.bit_masks[bits.clone()],
+                    bits,
+                }))
             }
-            let mut lanes = live;
-            while lanes != 0 {
-                let lane = lanes.trailing_zeros() as usize;
-                lanes &= lanes - 1;
-                if lane_masks[lane] != 0 {
-                    out[lane].push(WordEvent {
-                        loc: word.loc,
-                        written: word.written,
-                        flip_mask: lane_masks[lane],
-                    });
-                }
+            _ => {
+                let event = plan.static_events.get(self.next_static)?;
+                self.next_static += 1;
+                self.statics_since_vrt += 1;
+                Some(PlanWord::Static(event))
             }
         }
     }

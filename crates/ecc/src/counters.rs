@@ -128,16 +128,11 @@ impl EccCounters {
         }
     }
 
-    /// Records many outcomes of the same kind at once (bulk scrub results).
-    pub fn record_many(&self, kind: EventKind, count: u64) {
+    /// Adds a whole counter delta under one lock — the bulk equivalent of
+    /// one [`Self::record`] per event it counts.
+    pub fn record_snapshot(&self, delta: &CounterSnapshot) {
         let mut c = self.inner.lock();
-        match kind {
-            EventKind::None => c.clean += count,
-            EventKind::Ce => c.ce += count,
-            EventKind::Ue => c.ue += count,
-            EventKind::SdcMiscorrected => c.sdc_miscorrected += count,
-            EventKind::SdcUndetected => c.sdc_undetected += count,
-        }
+        *c = *c + *delta;
     }
 
     /// Returns a copy of the current tallies.
@@ -177,10 +172,26 @@ mod tests {
     }
 
     #[test]
-    fn record_many_bulk() {
-        let c = EccCounters::new();
-        c.record_many(EventKind::Ce, 1000);
-        assert_eq!(c.snapshot().ce, 1000);
+    fn record_snapshot_equals_per_event_records() {
+        let kinds = [
+            EventKind::Ce,
+            EventKind::Ce,
+            EventKind::Ue,
+            EventKind::SdcMiscorrected,
+            EventKind::SdcUndetected,
+            EventKind::None,
+        ];
+        let per_event = EccCounters::new();
+        let bulk = EccCounters::new();
+        let mut delta = CounterSnapshot::default();
+        for kind in kinds {
+            per_event.record(kind);
+            delta.count(kind);
+        }
+        bulk.record(EventKind::Ce);
+        per_event.record(EventKind::Ce);
+        bulk.record_snapshot(&delta);
+        assert_eq!(bulk.snapshot(), per_event.snapshot());
     }
 
     #[test]

@@ -8,7 +8,8 @@ use crate::session::{RecordedRun, Session};
 use crate::thermal::{SettleReport, ThermalError, ThermalTestbed};
 use dstress_dram::geometry::RowKey;
 use dstress_dram::{
-    ActivationCounts, AddressMap, Dimm, OperatingEnv, PlanError, RunPlan, WordEvent, MAX_LANES,
+    ActivationCounts, AddressMap, Dimm, OperatingEnv, PlanError, PlanWord, RunPlan, WordEvent,
+    MAX_LANES,
 };
 use dstress_ecc::{classify_flips, CounterSnapshot, EccCounters, EventKind};
 use serde::{Deserialize, Serialize};
@@ -54,13 +55,148 @@ impl EnvKey {
     }
 }
 
-/// A [`RunPlan`] bundled with the pre-classified summary of its static
-/// events, shared (via `Arc`) between the plan cache and every
-/// [`PreparedRun`] that hit it.
+/// The most contingent bits a VRT word may carry: its kind table has one
+/// entry per flip subset, `2^k` in all. Every sampled population has
+/// `k = 1` (only single weak cells are VRT).
+const MAX_KIND_TABLE_BITS: usize = 8;
+
+/// A [`RunPlan`] with its ECC accounting resolved at build time, shared
+/// (via `Arc`) between the plan cache and every [`PreparedRun`] that hit it.
+///
+/// Static events are byte-identical in every window of every run, and a
+/// VRT word can only take one of `2^k` flip masks (one per subset of its
+/// `k` contingent bits), so both are classified here, once per plan. The
+/// batched evaluation path then only looks kinds up and adds integers,
+/// which keeps it bit-identical to the event-at-a-time accounting of
+/// [`record_events`].
 #[derive(Debug)]
 struct McuPlan {
     plan: RunPlan,
-    statics: StaticSummary,
+    /// The rows holding a static event or a VRT word, numbered densely in
+    /// population order (ascending [`RowKey`]).
+    rows: Vec<PlanRow>,
+    /// Per VRT word, in plan order.
+    vrt: Vec<VrtAccount>,
+    /// The VRT words' kind tables, concatenated in plan order. Entry `s` of
+    /// a word's table classifies its flip mask when the contingent bits in
+    /// subset `s` flip (bit `j` of `s` selects the word's `j`-th bit);
+    /// `None` where that mask is 0, i.e. no event.
+    kinds: Vec<Option<EventKind>>,
+    /// Per-rank counter delta of one window's static events.
+    static_per_rank: [CounterSnapshot; RANKS],
+    /// Whether the static events include an uncorrectable error (which
+    /// then fires in every window).
+    static_ue: bool,
+}
+
+/// One dense row of an [`McuPlan`] and the CE/UE counts of one window's
+/// static events in it.
+#[derive(Debug, Clone, Copy)]
+struct PlanRow {
+    key: RowKey,
+    ce: u32,
+    ue: u32,
+}
+
+/// The accounting of one VRT word: its dense row, its rank and its number
+/// of contingent bits (which sizes its slices of the lane kernel's output
+/// and of [`McuPlan::kinds`]).
+#[derive(Debug, Clone, Copy)]
+struct VrtAccount {
+    row: u32,
+    rank: u8,
+    bits: u8,
+}
+
+impl McuPlan {
+    fn build(plan: RunPlan) -> Result<McuPlan, PlanError> {
+        let mut rows: Vec<PlanRow> = Vec::new();
+        let mut vrt = Vec::with_capacity(plan.vrt_words());
+        let mut kinds = Vec::with_capacity(2 * plan.vrt_words());
+        let mut static_per_rank = [CounterSnapshot::default(); RANKS];
+        let mut static_ue = false;
+        for word in plan.words() {
+            let loc = word.loc();
+            let key = loc.row_key();
+            if rows.last().is_none_or(|r| r.key != key) {
+                debug_assert!(
+                    rows.last().is_none_or(|r| r.key < key),
+                    "plan words come in population order"
+                );
+                rows.push(PlanRow { key, ce: 0, ue: 0 });
+            }
+            let row_index = rows.len() - 1;
+            match word {
+                PlanWord::Static(event) => {
+                    let kind = classify_flips(event.written, event.flip_mask, 0);
+                    static_per_rank[loc.rank as usize].count(kind);
+                    let row = &mut rows[row_index];
+                    match kind {
+                        EventKind::Ce => row.ce += 1,
+                        EventKind::Ue => {
+                            row.ue += 1;
+                            static_ue = true;
+                        }
+                        _ => {}
+                    }
+                }
+                PlanWord::Vrt(word) => {
+                    push_kind_table(word.written, word.base_mask, word.contingent, &mut kinds)?;
+                    vrt.push(VrtAccount {
+                        row: u32::try_from(row_index).map_err(|_| PlanError::IndexOverflow {
+                            what: "rows",
+                            value: row_index,
+                        })?,
+                        rank: loc.rank,
+                        // At most MAX_KIND_TABLE_BITS, checked above.
+                        bits: word.contingent.len() as u8,
+                    });
+                }
+            }
+        }
+        // The plan cache keeps this for the plan's lifetime.
+        rows.shrink_to_fit();
+        Ok(McuPlan {
+            plan,
+            rows,
+            vrt,
+            kinds,
+            static_per_rank,
+            static_ue,
+        })
+    }
+}
+
+/// Appends a VRT word's kind table to `out`: entry `s` classifies
+/// `base_mask` OR'd with the masks of the contingent bits in subset `s`
+/// (bit `j` of `s` selects `contingent[j]`), or is `None` where that mask
+/// is 0.
+///
+/// # Errors
+///
+/// [`PlanError::IndexOverflow`] if the word has more than
+/// [`MAX_KIND_TABLE_BITS`] contingent bits.
+fn push_kind_table(
+    written: u64,
+    base_mask: u64,
+    contingent: &[u64],
+    out: &mut Vec<Option<EventKind>>,
+) -> Result<(), PlanError> {
+    if contingent.len() > MAX_KIND_TABLE_BITS {
+        return Err(PlanError::IndexOverflow {
+            what: "contingent_bits",
+            value: contingent.len(),
+        });
+    }
+    out.extend((0..1usize << contingent.len()).map(|subset| {
+        let mask = contingent
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| subset >> j & 1 == 1)
+            .fold(base_mask, |mask, (_, &bit)| mask | bit);
+        (mask != 0).then(|| classify_flips(written, mask, 0))
+    }));
+    Ok(())
 }
 
 /// One plan-cache entry: the full (contents, operating point, disturbance)
@@ -94,50 +230,6 @@ struct CachedProfile {
     profile: Arc<ReplayProfile>,
 }
 
-/// The per-window ECC contribution of a plan's static events, computed
-/// once per plan. Static events are byte-identical every window of every
-/// run, so instead of re-classifying them per (run, window) the batched
-/// evaluation path applies this summary scaled by the number of completed
-/// windows — integer sums, so the result is bit-identical to the
-/// event-at-a-time accounting of [`record_events`].
-#[derive(Debug, Default)]
-struct StaticSummary {
-    /// Per-rank counter delta of one window's static events.
-    per_rank: [CounterSnapshot; RANKS],
-    /// Per-row (CE, UE) tallies of one window's static events.
-    rows: Vec<(RowKey, u64, u64)>,
-    /// Whether the static events include an uncorrectable error (which
-    /// then fires in every window).
-    saw_ue: bool,
-}
-
-impl StaticSummary {
-    fn build(statics: &[WordEvent]) -> StaticSummary {
-        let mut summary = StaticSummary::default();
-        let mut rows: HashMap<RowKey, (u64, u64)> = HashMap::new();
-        for event in statics {
-            let kind = classify_flips(event.written, event.flip_mask, 0);
-            summary.per_rank[event.loc.rank as usize].count(kind);
-            if kind.is_visible() {
-                let entry = rows.entry(event.loc.row_key()).or_insert((0, 0));
-                match kind {
-                    EventKind::Ce => entry.0 += 1,
-                    EventKind::Ue => entry.1 += 1,
-                    _ => {}
-                }
-            }
-            if kind == EventKind::Ue {
-                summary.saw_ue = true;
-            }
-        }
-        summary.rows = rows.into_iter().map(|(r, (ce, ue))| (r, ce, ue)).collect();
-        // Deterministic order (the tallies are sums either way, but a
-        // stable order keeps Debug output and iteration reproducible).
-        summary.rows.sort_unstable_by_key(|&(r, _, _)| r);
-        summary
-    }
-}
-
 /// Multiplies every field of a per-window counter delta by a window count.
 fn scale_snapshot(s: &CounterSnapshot, windows: u64) -> CounterSnapshot {
     CounterSnapshot {
@@ -149,19 +241,197 @@ fn scale_snapshot(s: &CounterSnapshot, windows: u64) -> CounterSnapshot {
     }
 }
 
-/// Records a whole counter delta into the persistent EDAC tallies (the
-/// bulk equivalent of per-event [`EccCounters::record`] calls).
-fn record_snapshot(counters: &EccCounters, snap: &CounterSnapshot) {
-    for (kind, count) in [
-        (EventKind::Ce, snap.ce),
-        (EventKind::Ue, snap.ue),
-        (EventKind::SdcMiscorrected, snap.sdc_miscorrected),
-        (EventKind::SdcUndetected, snap.sdc_undetected),
-        (EventKind::None, snap.clean),
-    ] {
-        if count > 0 {
-            counters.record_many(kind, count);
+/// Scratch of the batched evaluation path, reused across batches: cleared,
+/// not reallocated, like `events_scratch`. Batch rows and batch words are
+/// the dense rows and VRT words of the [`McuPlan`]s, offset by those of the
+/// MCUs before them.
+#[derive(Debug, Clone, Default)]
+struct LaneScratch {
+    /// The lane kernel's output for one (window, MCU): per contingent bit,
+    /// the lanes in which it flipped.
+    flips: Vec<u64>,
+    /// First batch row of each MCU.
+    row_base: [usize; MCUS],
+    /// First batch word of each MCU.
+    word_base: [usize; MCUS],
+    /// Batch words in all.
+    total_words: usize,
+    /// Per-lane (CE, UE) counts of each batch word, lane-major. A word has
+    /// at most one event a window, so a `u32` count cannot overflow. Every
+    /// entry is zero between batches.
+    tallies: Vec<(u32, u32)>,
+    /// Marks the batch rows whose VRT words had a visible event in the lane
+    /// being finished; all clear otherwise.
+    touched: Vec<bool>,
+    /// Per-lane run-local counter deltas.
+    deltas: Vec<[[CounterSnapshot; RANKS]; MCUS]>,
+    /// The static rows of every MCU (batch row, one window's counts), in
+    /// outcome order.
+    static_rows: Vec<(usize, RowErrors)>,
+    /// One lane's touched rows, in outcome order.
+    lane_rows: Vec<RowErrors>,
+}
+
+impl LaneScratch {
+    /// Lays out the batch rows and words of a prepared run and sorts its
+    /// static rows. Within a lane every static count scales by the same
+    /// window count, so this order holds for every lane of every batch.
+    fn begin(&mut self, prepared: &PreparedRun) {
+        self.static_rows.clear();
+        let (mut rows, mut words) = (0, 0);
+        for (mcu, plan) in prepared.plans.iter().enumerate() {
+            self.row_base[mcu] = rows;
+            self.word_base[mcu] = words;
+            for (row, r) in plan.rows.iter().enumerate() {
+                if (r.ce, r.ue) != (0, 0) {
+                    self.static_rows.push((
+                        rows + row,
+                        RowErrors {
+                            mcu,
+                            row: r.key,
+                            ce: r.ce as u64,
+                            ue: r.ue as u64,
+                        },
+                    ));
+                }
+            }
+            rows += plan.rows.len();
+            words += plan.vrt.len();
         }
+        self.total_words = words;
+        self.touched.clear();
+        self.touched.resize(rows, false);
+        self.static_rows.sort_unstable_by_key(|(_, r)| row_key(r));
+    }
+
+    /// Readies the per-lane tallies and deltas for a batch of `lanes`.
+    fn start_batch(&mut self, lanes: usize) {
+        // Every tally is zero between batches, so resizing keeps them zero.
+        self.tallies.resize(lanes * self.total_words, (0, 0));
+        self.deltas.clear();
+        self.deltas
+            .resize(lanes, [[CounterSnapshot::default(); RANKS]; MCUS]);
+    }
+
+    /// Tallies one (window, MCU) of VRT events from the flip subsets in
+    /// `self.flips`; returns the lanes that saw an uncorrectable error.
+    fn account_window(&mut self, plan: &McuPlan, mcu: usize, live: u64) -> u64 {
+        let base = self.word_base[mcu];
+        let mut ue_lanes = 0u64;
+        let (mut bit, mut entry) = (0, 0);
+        for (index, word) in plan.vrt.iter().enumerate() {
+            let flips = &self.flips[bit..bit + word.bits as usize];
+            let table = &plan.kinds[entry..entry + (1 << word.bits)];
+            bit += flips.len();
+            entry += table.len();
+            // With a static base mask every live lane has an event; without
+            // one only the lanes in which some contingent bit flipped do.
+            let mut lanes = if table[0].is_some() {
+                live
+            } else {
+                flips.iter().fold(0, |lanes, &f| lanes | f)
+            };
+            while lanes != 0 {
+                let lane = lanes.trailing_zeros() as usize;
+                lanes &= lanes - 1;
+                let subset = flips
+                    .iter()
+                    .rev()
+                    .fold(0, |s, &f| (s << 1) | ((f >> lane) & 1) as usize);
+                let Some(kind) = table[subset] else {
+                    continue;
+                };
+                self.deltas[lane][mcu][word.rank as usize].count(kind);
+                let tally = &mut self.tallies[lane * self.total_words + base + index];
+                match kind {
+                    EventKind::Ce => tally.0 += 1,
+                    EventKind::Ue => {
+                        tally.1 += 1;
+                        ue_lanes |= 1u64 << lane;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        ue_lanes
+    }
+
+    /// Completes one lane's run: adds the static events of its completed
+    /// windows, records its counter deltas (one lock per MCU and rank),
+    /// assembles its row tallies and zeroes its scratch.
+    fn finish_lane(
+        &mut self,
+        lane: usize,
+        prepared: &PreparedRun,
+        counters: &[Vec<EccCounters>],
+        windows_completed: u32,
+        stopped_on_ue: bool,
+    ) -> RunOutcome {
+        let windows = windows_completed as u64;
+        for (mcu, ranks) in self.deltas[lane].iter_mut().enumerate() {
+            for (rank, delta) in ranks.iter_mut().enumerate() {
+                let statics = &prepared.plans[mcu].static_per_rank[rank];
+                *delta = *delta + scale_snapshot(statics, windows);
+                counters[mcu][rank].record_snapshot(delta);
+            }
+        }
+        // The VRT words come in row order: sum each row's run of words.
+        let tallies = &mut self.tallies[lane * self.total_words..][..self.total_words];
+        self.lane_rows.clear();
+        for (mcu, plan) in prepared.plans.iter().enumerate() {
+            let mut words = tallies[self.word_base[mcu]..][..plan.vrt.len()].iter();
+            for run in plan.vrt.chunk_by(|a, b| a.row == b.row) {
+                let (ce, ue) = words
+                    .by_ref()
+                    .take(run.len())
+                    .fold((0, 0), |(ce, ue), &(c, u)| (ce + c as u64, ue + u as u64));
+                if (ce, ue) == (0, 0) {
+                    continue;
+                }
+                let row = run[0].row as usize;
+                self.touched[self.row_base[mcu] + row] = true;
+                let statics = plan.rows[row];
+                self.lane_rows.push(RowErrors {
+                    mcu,
+                    row: statics.key,
+                    ce: ce + statics.ce as u64 * windows,
+                    ue: ue + statics.ue as u64 * windows,
+                });
+            }
+        }
+        self.lane_rows.sort_unstable_by_key(row_key);
+        // The untouched static rows keep the batch's order; a lane that
+        // completed no window saw no static event.
+        let touched_rows = &self.touched;
+        let mut statics = self
+            .static_rows
+            .iter()
+            .filter(|&&(row, _)| windows > 0 && !touched_rows[row])
+            .map(|&(_, r)| RowErrors {
+                ce: r.ce * windows,
+                ue: r.ue * windows,
+                ..r
+            })
+            .peekable();
+        let mut touched = self.lane_rows.iter().copied().peekable();
+        let mut row_errors = Vec::with_capacity(self.lane_rows.len() + self.static_rows.len());
+        loop {
+            let next = match (touched.peek(), statics.peek()) {
+                (Some(a), Some(b)) if row_key(a) < row_key(b) => touched.next(),
+                (_, Some(_)) => statics.next(),
+                (Some(_), None) => touched.next(),
+                (None, None) => break,
+            };
+            row_errors.extend(next);
+        }
+        tallies.fill((0, 0));
+        self.touched.fill(false);
+        assemble_outcome(
+            &self.deltas[lane],
+            row_errors,
+            windows_completed,
+            stopped_on_ue,
+        )
     }
 }
 
@@ -262,6 +532,8 @@ pub struct XGene2Server {
     row_errors_scratch: HashMap<(usize, RowKey), (u64, u64)>,
     /// Scratch event buffer reused across windows (cleared before use).
     events_scratch: Vec<WordEvent>,
+    /// Scratch of the batched evaluation path.
+    lane_scratch: LaneScratch,
     /// FIFO cache of replay profiles keyed by (trace, refresh periods).
     profile_cache: VecDeque<CachedProfile>,
 }
@@ -292,6 +564,7 @@ impl XGene2Server {
             counters,
             row_errors_scratch: HashMap::new(),
             events_scratch: Vec::new(),
+            lane_scratch: LaneScratch::default(),
             profile_cache: VecDeque::new(),
         }
     }
@@ -571,7 +844,8 @@ impl XGene2Server {
     /// # Errors
     ///
     /// [`PlanError::IndexOverflow`] if a weak-cell population overflows the
-    /// plan index layout.
+    /// plan index layout or a VRT word has more contingent bits than its
+    /// kind table serves.
     pub fn prepare_run(&mut self, run: &RecordedRun) -> Result<PreparedRun, PlanError> {
         let profile = self.profile_cached(run);
         let mut plans = Vec::with_capacity(MCUS);
@@ -619,7 +893,8 @@ impl XGene2Server {
     /// # Errors
     ///
     /// [`PlanError::IndexOverflow`] if a weak-cell population overflows the
-    /// plan index layout.
+    /// plan index layout or a VRT word has more contingent bits than its
+    /// kind table serves.
     pub fn prepare_run_uncached(&mut self, run: &RecordedRun) -> Result<PreparedRun, PlanError> {
         let profile = self.build_profile(run);
         let mut plans = Vec::with_capacity(MCUS);
@@ -634,9 +909,7 @@ impl XGene2Server {
 
     fn build_mcu_plan(&mut self, mcu: usize, disturbance: &[f64]) -> Result<McuPlan, PlanError> {
         let env = self.operating_env(mcu);
-        let plan = self.mcus[mcu].dimm.prepare_run(&env, disturbance)?;
-        let statics = StaticSummary::build(plan.static_events());
-        Ok(McuPlan { plan, statics })
+        McuPlan::build(self.mcus[mcu].dimm.prepare_run(&env, disturbance)?)
     }
 
     /// Drops every cached plan and replay profile. Outcomes are
@@ -735,14 +1008,15 @@ impl XGene2Server {
     }
 
     /// Evaluates `runs` repeat runs of a prepared virus in one batched
-    /// sweep: per (window, MCU) the lane kernel
-    /// ([`RunPlan::advance_window_vrt_lanes`]) computes every live run's
-    /// VRT events in a single cell-outer pass over the plan's flat SoA,
-    /// and the static events — identical in every window — are applied
-    /// once per run via the plan's precomputed [`StaticSummary`] scaled by
-    /// the run's completed windows. All accounting is integer sums, so the
-    /// outcomes (and the persistent EDAC counters) are bit-identical to
-    /// evaluating the runs one at a time.
+    /// sweep. Per (window, MCU) the lane kernel
+    /// ([`Dimm::advance_window_planned_subsets`]) reports which
+    /// VRT-contingent bits flipped in each live run, and each VRT word's
+    /// flip subset indexes the kind table its plan classified once. The
+    /// static events — identical in every window — are classified once per
+    /// plan too and applied per run scaled by its completed windows. All
+    /// accounting is integer sums, so the outcomes (and the persistent
+    /// EDAC counters) are bit-identical to evaluating the runs one at a
+    /// time.
     ///
     /// A run stops after the first full window in which any MCU raised an
     /// uncorrectable error, exactly as in [`Self::evaluate_prepared`]; its
@@ -759,30 +1033,38 @@ impl XGene2Server {
         base_nonce: u64,
     ) -> Result<Vec<RunOutcome>, PlanError> {
         self.ensure_prepared_fresh(prepared)?;
+        let mut scratch = std::mem::take(&mut self.lane_scratch);
+        scratch.begin(prepared);
         let mut outcomes = Vec::with_capacity(runs as usize);
+        let mut nonces = [0u64; MAX_LANES];
         let mut batch_start = 0u64;
         while batch_start < runs as u64 {
             let lanes = (runs as u64 - batch_start).min(MAX_LANES as u64) as usize;
-            let nonces: Vec<u64> = (0..lanes as u64)
-                .map(|l| base_nonce.wrapping_add(batch_start + l))
-                .collect();
-            outcomes.extend(self.evaluate_lane_batch(prepared, &nonces));
+            for (l, nonce) in nonces[..lanes].iter_mut().enumerate() {
+                *nonce = base_nonce.wrapping_add(batch_start + l as u64);
+            }
+            self.evaluate_lane_batch(prepared, &nonces[..lanes], &mut scratch, &mut outcomes);
             batch_start += lanes as u64;
         }
+        self.lane_scratch = scratch;
         Ok(outcomes)
     }
 
     /// One ≤[`MAX_LANES`]-lane batch of [`Self::evaluate_prepared_runs`]:
     /// `nonces[l]` is lane `l`'s run nonce. Freshness must already be
-    /// checked.
-    fn evaluate_lane_batch(&mut self, prepared: &PreparedRun, nonces: &[u64]) -> Vec<RunOutcome> {
+    /// checked and `scratch` begun for `prepared`.
+    fn evaluate_lane_batch(
+        &self,
+        prepared: &PreparedRun,
+        nonces: &[u64],
+        scratch: &mut LaneScratch,
+        outcomes: &mut Vec<RunOutcome>,
+    ) {
         let lanes = nonces.len();
-        let mut deltas = vec![[[CounterSnapshot::default(); RANKS]; MCUS]; lanes];
-        let mut row_errors: Vec<HashMap<(usize, RowKey), (u64, u64)>> = vec![HashMap::new(); lanes];
-        let mut lane_events: Vec<Vec<WordEvent>> = vec![Vec::new(); lanes];
-        let mut window_nonces = vec![0u64; lanes];
-        let mut windows_completed = vec![0u32; lanes];
-        let mut stopped_on_ue = vec![false; lanes];
+        scratch.start_batch(lanes);
+        let mut window_nonces = [0u64; MAX_LANES];
+        let mut windows_completed = [self.config.windows_per_run; MAX_LANES];
+        let mut stopped_on_ue = 0u64;
         let mut live = if lanes == MAX_LANES {
             u64::MAX
         } else {
@@ -793,43 +1075,26 @@ impl XGene2Server {
                 break;
             }
             let mut ue_this_window = 0u64;
-            #[allow(clippy::needless_range_loop)]
-            for mcu in 0..MCUS {
-                for (l, &nonce) in nonces.iter().enumerate() {
-                    window_nonces[l] = window_nonce(nonce, window, mcu);
+            for (mcu, plan) in prepared.plans.iter().enumerate() {
+                if plan.static_ue {
+                    ue_this_window |= live;
+                }
+                if plan.vrt.is_empty() {
+                    continue;
+                }
+                for (slot, &nonce) in window_nonces.iter_mut().zip(nonces) {
+                    *slot = window_nonce(nonce, window, mcu);
                 }
                 self.mcus[mcu]
                     .dimm
-                    .advance_window_planned_lanes(
-                        &prepared.plans[mcu].plan,
-                        &window_nonces,
+                    .advance_window_planned_subsets(
+                        &plan.plan,
+                        &window_nonces[..lanes],
                         live,
-                        &mut lane_events,
+                        &mut scratch.flips,
                     )
                     .expect("plan freshness checked by caller; no writes happen mid-evaluation");
-                if prepared.plans[mcu].statics.saw_ue {
-                    ue_this_window |= live;
-                }
-                let mut scan = live;
-                while scan != 0 {
-                    let lane = scan.trailing_zeros() as usize;
-                    scan &= scan - 1;
-                    if record_events(
-                        &self.counters[mcu],
-                        &mut deltas[lane][mcu],
-                        &mut row_errors[lane],
-                        mcu,
-                        &lane_events[lane],
-                    ) {
-                        ue_this_window |= 1u64 << lane;
-                    }
-                }
-            }
-            let mut scan = live;
-            while scan != 0 {
-                let lane = scan.trailing_zeros() as usize;
-                scan &= scan - 1;
-                windows_completed[lane] = window + 1;
+                ue_this_window |= scratch.account_window(plan, mcu, live);
             }
             // A UE ends a run after its full window, exactly like the
             // per-run path's end-of-window break.
@@ -838,36 +1103,20 @@ impl XGene2Server {
             while scan != 0 {
                 let lane = scan.trailing_zeros() as usize;
                 scan &= scan - 1;
-                stopped_on_ue[lane] = true;
+                windows_completed[lane] = window + 1;
             }
+            stopped_on_ue |= stopping;
             live &= !stopping;
         }
-        // Apply each run's static-event contribution in one scaled pass:
-        // the statics fired identically in every completed window.
-        (0..lanes)
-            .map(|lane| {
-                let windows = windows_completed[lane];
-                for (mcu, lane_deltas) in deltas[lane].iter_mut().enumerate() {
-                    let statics = &prepared.plans[mcu].statics;
-                    for (rank, delta) in lane_deltas.iter_mut().enumerate() {
-                        let scaled = scale_snapshot(&statics.per_rank[rank], windows as u64);
-                        record_snapshot(&self.counters[mcu][rank], &scaled);
-                        *delta = *delta + scaled;
-                    }
-                    for &(row, ce, ue) in &statics.rows {
-                        let entry = row_errors[lane].entry((mcu, row)).or_insert((0, 0));
-                        entry.0 += ce * windows as u64;
-                        entry.1 += ue * windows as u64;
-                    }
-                }
-                finalize_outcome(
-                    &deltas[lane],
-                    &mut row_errors[lane],
-                    windows,
-                    stopped_on_ue[lane],
-                )
-            })
-            .collect()
+        outcomes.extend((0..lanes).map(|lane| {
+            scratch.finish_lane(
+                lane,
+                prepared,
+                &self.counters,
+                windows_completed[lane],
+                stopped_on_ue & (1u64 << lane) != 0,
+            )
+        }));
     }
 
     fn ensure_prepared_fresh(&self, prepared: &PreparedRun) -> Result<(), PlanError> {
@@ -1003,12 +1252,39 @@ fn record_events(
 }
 
 /// Assembles a [`RunOutcome`] from run-local deltas and the per-row tally
-/// (drained, so the caller's map can be reused). The row sort key is total
-/// — descending CE, then UE, then row, then MCU — so the order never
-/// depends on hash-map iteration.
+/// (drained, so the caller's map can be reused).
 fn finalize_outcome(
     deltas: &[[CounterSnapshot; RANKS]; MCUS],
     row_errors: &mut HashMap<(usize, RowKey), (u64, u64)>,
+    windows_completed: u32,
+    stopped_on_ue: bool,
+) -> RunOutcome {
+    let mut rows: Vec<RowErrors> = row_errors
+        .drain()
+        .map(|((mcu, row), (ce, ue))| RowErrors { mcu, row, ce, ue })
+        .collect();
+    rows.sort_unstable_by_key(row_key);
+    assemble_outcome(deltas, rows, windows_completed, stopped_on_ue)
+}
+
+/// The sort key of [`RunOutcome::row_errors`]: descending CE, then UE,
+/// then ascending row, then MCU, packed into two integers so a comparison
+/// costs two compares. The key is total (one entry per MCU and row), so the
+/// order never depends on hash-map iteration or on the sort's stability.
+fn row_key(r: &RowErrors) -> (u128, u64) {
+    debug_assert!(r.mcu < MCUS);
+    let RowKey { rank, bank, row } = r.row;
+    (
+        (u128::from(!r.ce) << 64) | u128::from(!r.ue),
+        (u64::from(rank) << 48) | (u64::from(bank) << 40) | (u64::from(row) << 8) | r.mcu as u64,
+    )
+}
+
+/// Builds a [`RunOutcome`] from run-local deltas and row tallies already in
+/// [`row_key`] order.
+fn assemble_outcome(
+    deltas: &[[CounterSnapshot; RANKS]; MCUS],
+    row_errors: Vec<RowErrors>,
     windows_completed: u32,
     stopped_on_ue: bool,
 ) -> RunOutcome {
@@ -1025,22 +1301,12 @@ fn finalize_outcome(
     let totals = per_domain
         .iter()
         .fold(CounterSnapshot::default(), |acc, d| acc + d.counts);
-    let mut rows: Vec<RowErrors> = row_errors
-        .drain()
-        .map(|((mcu, row), (ce, ue))| RowErrors { mcu, row, ce, ue })
-        .collect();
-    rows.sort_by(|a, b| {
-        b.ce.cmp(&a.ce)
-            .then(b.ue.cmp(&a.ue))
-            .then(a.row.cmp(&b.row))
-            .then(a.mcu.cmp(&b.mcu))
-    });
     RunOutcome {
         totals,
         per_domain,
         windows_completed,
         stopped_on_ue,
-        row_errors: rows,
+        row_errors,
     }
 }
 
@@ -1048,6 +1314,7 @@ fn finalize_outcome(
 mod tests {
     use super::*;
     use crate::session::MemoryBus;
+    use proptest::prelude::*;
 
     const WORST: u64 = 0x3333_3333_3333_3333;
 
@@ -1241,6 +1508,192 @@ mod tests {
                 oracle_sv.counters(),
                 "persistent EDAC tallies diverged at {temp}C"
             );
+        }
+    }
+
+    /// Batched and sequential evaluations of the same runs, on two copies
+    /// of one server, agree in their outcomes and in the persistent EDAC
+    /// tallies they leave behind.
+    fn assert_batched_matches_sequential(
+        sv: &XGene2Server,
+        run: &RecordedRun,
+        runs: u32,
+        base_nonce: u64,
+    ) -> Vec<RunOutcome> {
+        let (mut batched_sv, mut oracle_sv) = (sv.clone(), sv.clone());
+        let batched = batched_sv.evaluate_runs(run, runs, base_nonce).unwrap();
+        let sequential = oracle_sv
+            .evaluate_runs_sequential(run, runs, base_nonce)
+            .unwrap();
+        assert_eq!(batched, sequential, "batched path diverged");
+        assert_eq!(
+            batched_sv.counters(),
+            oracle_sv.counters(),
+            "persistent EDAC tallies diverged"
+        );
+        batched
+    }
+
+    #[test]
+    fn batched_runs_match_sequential_oracle_with_zero_windows() {
+        let mut config = ServerConfig::small();
+        config.windows_per_run = 0;
+        let mut sv = XGene2Server::new(config);
+        sv.relax_second_domain();
+        sv.set_dimm_temperature(2, 70.0).unwrap();
+        let run = fill_run(&mut sv, 2, WORST);
+        let prepared = sv.prepare_run(&run).unwrap();
+        assert!(
+            prepared.plans[2].rows.iter().any(|r| r.ce + r.ue > 0),
+            "70C must give the target DIMM static error rows"
+        );
+        let outcomes = assert_batched_matches_sequential(&sv, &run, 10, 3);
+        assert!(outcomes
+            .iter()
+            .all(|o| o.windows_completed == 0 && o.row_errors.is_empty()));
+    }
+
+    #[test]
+    fn silent_corruptions_match_sequential_oracle() {
+        // Triple clusters (as in the SDC experiment) give words whose
+        // static flips escape SECDED at 70C.
+        let mut config = ServerConfig::small();
+        config.dimm.weak.triples_per_rank = 20;
+        let mut sv = XGene2Server::new(config);
+        sv.relax_second_domain();
+        sv.set_dimm_temperature(2, 70.0).unwrap();
+        let run = fill_run(&mut sv, 2, WORST);
+        let outcomes = assert_batched_matches_sequential(&sv, &run, 10, 7);
+        let silent: u64 = outcomes.iter().map(|o| o.totals.silent()).sum();
+        assert!(silent > 0, "triple clusters must produce SDCs");
+    }
+
+    #[test]
+    fn vrt_word_with_a_base_mask_counts_in_every_live_lane() {
+        // Sampled VRT words are single cells (no base mask), so give the
+        // first VRT word of a real plan a failing static cell by hand:
+        // subset 0 then classifies as an event in every live lane.
+        let mut sv = server();
+        sv.relax_second_domain();
+        sv.set_dimm_temperature(2, 62.0).unwrap();
+        let run = fill_run(&mut sv, 2, WORST);
+        let mut plans = sv.prepare_run(&run).unwrap().plans;
+        let mut target = McuPlan::build(plans[2].plan.clone()).unwrap();
+        assert!(!target.vrt.is_empty(), "need a VRT word");
+        assert_eq!(target.kinds[0], None, "sampled VRT words have no base mask");
+        target.kinds[0] = Some(EventKind::Ce);
+        let rank = target.vrt[0].rank as usize;
+        plans[2] = Arc::new(target);
+        let prepared = PreparedRun { plans };
+        let mut scratch = LaneScratch::default();
+        scratch.begin(&prepared);
+        scratch.start_batch(3);
+        scratch.flips = vec![0; prepared.plans[2].plan.vrt_cells()];
+        let live = 0b101;
+        assert_eq!(scratch.account_window(&prepared.plans[2], 2, live), 0);
+        for lane in 0..3 {
+            let expected = u32::from(live >> lane & 1 == 1);
+            let word = lane * scratch.total_words + scratch.word_base[2];
+            assert_eq!(scratch.tallies[word], (expected, 0), "lane {lane}");
+            assert_eq!(scratch.deltas[lane][2][rank].ce, u64::from(expected));
+        }
+    }
+
+    #[test]
+    fn kind_table_classifies_every_flip_subset() {
+        let written = 0x3333_3333_3333_3333;
+        let base = 1u64 << 5;
+        let bits = [1u64 << 9, 1 << 17, 1 << 40];
+        for k in 0..=bits.len() {
+            for base_mask in [0, base] {
+                let mut table = vec![Some(EventKind::None)];
+                push_kind_table(written, base_mask, &bits[..k], &mut table).unwrap();
+                assert_eq!(table.len(), 1 + (1 << k), "k = {k}");
+                for (subset, &kind) in table[1..].iter().enumerate() {
+                    let mask = (0..k)
+                        .filter(|&j| subset >> j & 1 == 1)
+                        .fold(base_mask, |m, j| m | bits[j]);
+                    let expected = (mask != 0).then(|| classify_flips(written, mask, 0));
+                    assert_eq!(kind, expected, "k = {k}, subset {subset:#b}");
+                }
+            }
+        }
+        // Spot checks: one flip corrects, two are detected, none is no event.
+        let mut table = Vec::new();
+        push_kind_table(written, 0, &bits[..2], &mut table).unwrap();
+        assert_eq!(
+            table,
+            [
+                None,
+                Some(EventKind::Ce),
+                Some(EventKind::Ce),
+                Some(EventKind::Ue)
+            ]
+        );
+        let nine: Vec<u64> = (0..9).map(|b| 1u64 << b).collect();
+        let mut table = Vec::new();
+        assert_eq!(
+            push_kind_table(written, 0, &nine, &mut table),
+            Err(PlanError::IndexOverflow {
+                what: "contingent_bits",
+                value: 9
+            })
+        );
+        assert!(table.is_empty(), "a rejected word appends nothing");
+    }
+
+    proptest! {
+        #[test]
+        fn row_key_orders_by_ce_ue_row_mcu(
+            a in (0..MCUS, any::<u8>(), any::<u8>(), any::<u32>(), any::<u64>(), any::<u64>()),
+            b in (0..MCUS, any::<u8>(), any::<u8>(), any::<u32>(), any::<u64>(), any::<u64>()),
+            tie in 0usize..6,
+        ) {
+            let make = |(mcu, rank, bank, row, ce, ue)| RowErrors {
+                mcu,
+                row: RowKey::new(rank, bank, row),
+                ce,
+                ue,
+            };
+            let (a, mut b) = (make(a), make(b));
+            // Force ties on the leading fields so every level is compared.
+            if tie >= 1 {
+                b.ce = a.ce;
+            }
+            if tie >= 2 {
+                b.ue = a.ue;
+            }
+            if tie >= 3 {
+                b.row.rank = a.row.rank;
+            }
+            if tie >= 4 {
+                b.row.bank = a.row.bank;
+            }
+            if tie >= 5 {
+                b.row.row = a.row.row;
+            }
+            let chained = b.ce.cmp(&a.ce)
+                .then(b.ue.cmp(&a.ue))
+                .then(a.row.cmp(&b.row))
+                .then(a.mcu.cmp(&b.mcu));
+            prop_assert_eq!(row_key(&a).cmp(&row_key(&b)), chained);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn batched_runs_match_sequential_oracle_for_any_fill(
+            word in any::<u64>(),
+            temp in 55.0f64..72.0,
+            runs in 1u32..=70,
+        ) {
+            let mut sv = server();
+            sv.relax_second_domain();
+            sv.set_dimm_temperature(2, temp).unwrap();
+            let run = fill_run(&mut sv, 2, word);
+            assert_batched_matches_sequential(&sv, &run, runs, word);
         }
     }
 

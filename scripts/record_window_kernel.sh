@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Runs the window_kernel benchmark (prepared run-plan kernel vs the
-# reference per-cell loop, plus the cold plan build) and records the
-# medians plus the speedup ratios to BENCH_window_kernel.json. The vendored
+# reference per-cell loop, the batched ten-run evaluation and the cold plan
+# build) and records the medians plus the speedup ratios to
+# BENCH_window_kernel.json. The vendored
 # criterion stub prints lines of the form:
 #   name: median 1.23 us mean 1.25 us (20 samples x 813 iters)
 # Exits non-zero, writing nothing, when any expected row is missing.
@@ -25,7 +26,7 @@ for line in sys.stdin:
         medians[m.group(1)] = float(m.group(2)) * UNITS[m.group(3)]
 
 EXPECTED = (\"window/reference\", \"window/planned\", \"run/reference\",
-            \"run/prepared\", \"plan/cold\")
+            \"run/prepared\", \"run/batched\", \"plan/cold\")
 missing = [name for name in EXPECTED if name not in medians]
 if missing:
     sys.exit(\"missing bench rows: \" + \", \".join(missing))
